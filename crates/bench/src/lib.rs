@@ -1,21 +1,11 @@
-//! # svf-bench — Criterion benchmark harness
+//! # svf-bench — simulation-throughput tracker
 //!
-//! Three bench suites regenerate the paper's evaluation as measured
-//! artifacts:
-//!
-//! * `benches/figures.rs` — one group per performance figure (5, 6, 7, 9):
-//!   each benchmark simulates a workload under one configuration and the
-//!   reported wall-times are proportional to simulated cycles, so the
-//!   Criterion report mirrors the paper's bar charts. The actual simulated
-//!   cycle counts are printed alongside.
-//! * `benches/tables.rs` — the traffic experiments (Tables 3 and 4) and the
-//!   characterization passes (Figures 1–3).
-//! * `benches/micro.rs` — microbenchmarks of the substrate itself: SVF
-//!   access/adjust throughput, cache probe throughput, emulator and
-//!   pipeline simulation speed, compile+assemble latency.
-//!
-//! Run with `cargo bench` (full) or e.g.
-//! `cargo bench --bench figures -- fig7` for one group.
+//! The fixtures and report helpers behind the `throughput` binary
+//! (`src/bin/throughput.rs`, run by `scripts/bench.sh`), which measures the
+//! simulator's hot paths — functional emulation, cycle-level pipelines,
+//! lockstep sweeps at 1/2/4/8 timing threads, sampled simulation, and the
+//! cache/predictor substructures — in real units and writes a JSON report
+//! that later runs compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,21 +14,8 @@ use svf_cpu::{CpuConfig, SimStats, Simulator};
 use svf_isa::Program;
 use svf_workloads::{Scale, Workload};
 
-/// The scale used by benches: `Test` keeps a full `cargo bench` run in
-/// minutes while preserving every qualitative comparison.
+/// The scale the throughput rows compile workloads at.
 pub const BENCH_SCALE: Scale = Scale::Test;
-
-/// The subset of kernels used by the per-figure benches. Two kernels keep
-/// a full `cargo bench` run around fifteen minutes while spanning the two
-/// key behaviours (flat/shallow bzip2, call-heavy twolf); the experiment
-/// runners (`svf-experiments`) cover all twelve kernels.
-#[must_use]
-pub fn bench_kernels() -> Vec<&'static Workload> {
-    ["bzip2", "twolf"]
-        .iter()
-        .map(|n| svf_workloads::workload(n).expect("kernel exists"))
-        .collect()
-}
 
 /// Compiles a workload at the bench scale.
 ///
@@ -57,7 +34,7 @@ pub fn simulate(cfg: &CpuConfig, program: &Program) -> SimStats {
 }
 
 /// The loop-heavy, spill-everything stack kernel used by the hot-path
-/// throughput benchmarks (`benches/hotpath.rs` and the `throughput` binary).
+/// throughput rows of the `throughput` binary.
 /// Compiled without register promotion so its scalars live in the stack
 /// frame, maximizing stack traffic — the pattern the SVF targets.
 pub const STACK_KERNEL: &str = "

@@ -263,18 +263,18 @@ pub fn run_lockstep(configs: &[CpuConfig], program: &Program, max_insts: u64) ->
 /// over `fanout` threads (the calling thread plus `fanout - 1` scoped
 /// workers). Each thread advances a disjoint chunk of the pipelines over
 /// the same shared window behind a per-window barrier, so the statistics
-/// are bit-identical to the serial path for any `fanout` — the fill
-/// sequence is a pure function of the global slowest dispatch point, and
-/// each pipeline reads only the immutable window while mutating only
-/// itself. `fanout` is clamped to `[1, configs.len()]`; `1` (or a single
-/// config) takes the serial path with zero threading overhead.
+/// are bit-identical for any `fanout` — the fill sequence is a pure
+/// function of the global slowest dispatch point, and each pipeline reads
+/// only the immutable window while mutating only itself. `fanout` is
+/// clamped to `[1, configs.len()]`; at `1` (or a single config) the
+/// calling thread advances every pipeline and no thread is spawned.
 ///
 /// # Panics
 ///
 /// Panics if the program faults functionally, or if a pipeline deadlocks
 /// (either would be a simulator bug). A panic on a worker thread is
 /// re-raised on the calling thread with its original payload, so callers
-/// that `catch_unwind` the serial path observe the same message.
+/// observe the same message at every `fanout`.
 #[must_use]
 pub fn run_lockstep_fanout(
     configs: &[CpuConfig],
@@ -323,10 +323,19 @@ fn run_source<S: RecordSource>(
 /// drain (stream halt or `max_insts` committed records). This is the reusable
 /// inner loop of [`run_source`]; sampled simulation calls it once per
 /// measured interval with pipelines built from warm [`EngineState`]s and a
-/// source positioned mid-program. `fanout` spreads the per-window pipeline
-/// advancement over that many threads; the serial path is taken whenever
-/// the clamped fanout is one, so single-config runs never pay for
-/// threading.
+/// source positioned mid-program.
+///
+/// The calling thread is the leader: it owns the source and the facts
+/// builder, fills the window exclusively between rounds, and advances the
+/// first chunk of pipelines itself during rounds. `fanout` (clamped to
+/// `[1, pipes.len()]`) splits the pipelines into that many chunks, and
+/// `fanout - 1` scoped workers (spawned once per drive, not per window)
+/// advance the rest; at fanout 1 the leader advances every pipeline and no
+/// thread is spawned. Results are bit-identical at any fanout: the fill
+/// sequence depends only on the global minimum dispatch point — which the
+/// chunks accumulate exactly — and each `Pipeline::advance` reads nothing
+/// but the immutable window and its own state, so chunk assignment and
+/// thread interleaving are timing-invisible.
 ///
 /// [`EngineState`]: crate::pipeline::EngineState
 pub(crate) fn drive_fanout<S: RecordSource>(
@@ -349,47 +358,88 @@ pub(crate) fn drive_fanout<S: RecordSource>(
     }
     let facts = vec![Facts::EMPTY; capacity].into_boxed_slice();
     let fanout = fanout.clamp(1, pipes.len().max(1));
-    if fanout <= 1 {
-        drive_serial(pipes, src, heap_base, ring, facts)
-    } else {
-        drive_parallel(pipes, src, heap_base, ring, facts, fanout)
-    }
-}
-
-/// The serial inner loop: one thread fills and advances everything.
-fn drive_serial<S: RecordSource>(
-    pipes: &mut [Pipeline],
-    src: &mut S,
-    heap_base: u64,
-    mut ring: RecordRing,
-    mut facts: Box<[Facts]>,
-) -> Result<(), StreamError> {
+    let rv = Rendezvous {
+        shared: RwLock::new(SharedWindow { ring, facts }),
+        start: Barrier::new(fanout),
+        end: Barrier::new(fanout),
+        // Every pipeline starts dispatching at seq 0.
+        min_head: AtomicU64::new(0),
+        all_done: AtomicBool::new(true),
+        stop: AtomicBool::new(false),
+        panicked: Mutex::new(None),
+    };
     let mut builder = FactsBuilder::new();
-    loop {
-        // Records older than every pipeline's dispatch point are dead; the
-        // window may overwrite them. (A finished pipeline's dispatch point
-        // sits at the final stream length, so it never constrains.)
-        let keep = pipes.iter().map(Pipeline::ifq_head).min().unwrap_or_else(|| ring.hi());
-        let fresh = ring.fill(src, keep)?;
-        let stalled = fresh.is_empty();
-        for seq in fresh {
-            facts[(seq & ring.mask()) as usize] = builder.extract(seq, ring.get(seq), heap_base);
-        }
-        let win = Window { ring: &ring, facts: &facts };
-        let mut all_done = true;
-        for p in pipes.iter_mut() {
-            all_done &= p.advance(&win);
-        }
-        if all_done {
-            break;
-        }
-        // The window always has ifq+width headroom over the slowest
-        // consumer, so an empty fill with unfinished pipelines means the
-        // stream ended and they are still draining — anything else would
-        // loop forever.
-        debug_assert!(!stalled || ring.done(), "lockstep window stalled");
+    // Exactly `fanout` chunks, sizes differing by at most one (plain
+    // `chunks_mut` could come up short — 4 pipes over 3 threads would
+    // yield 2 chunks of 2 and deadlock the 3-party barriers).
+    let mut chunks = Vec::with_capacity(fanout);
+    let mut rest = pipes;
+    for i in 0..fanout {
+        let (head, tail) = rest.split_at_mut(rest.len().div_ceil(fanout - i));
+        chunks.push(head);
+        rest = tail;
     }
-    Ok(())
+    let mut chunks = chunks.into_iter();
+    let leader_chunk = chunks.next().expect("fanout >= 1 chunk");
+
+    let result = std::thread::scope(|scope| {
+        for worker_pipes in chunks {
+            let rv = &rv;
+            scope.spawn(move || worker_loop(worker_pipes, rv));
+        }
+        loop {
+            // Exclusive phase: every worker is parked at (or headed to)
+            // the start barrier, so the write lock is uncontended.
+            {
+                let mut guard =
+                    rv.shared.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let sw = &mut *guard;
+                // Records older than every pipeline's dispatch point are
+                // dead; the window may overwrite them. (A finished
+                // pipeline's dispatch point sits at the final stream
+                // length, so it never constrains.)
+                let keep = rv.min_head.load(Ordering::Acquire);
+                match sw.ring.fill(src, keep) {
+                    Ok(fresh) => {
+                        let stalled = fresh.is_empty();
+                        for seq in fresh {
+                            sw.facts[(seq & sw.ring.mask()) as usize] =
+                                builder.extract(seq, sw.ring.get(seq), heap_base);
+                        }
+                        // The window always has ifq+width headroom over the
+                        // slowest consumer, so an empty fill with unfinished
+                        // pipelines means the stream ended and they are
+                        // still draining — anything else would loop forever.
+                        debug_assert!(!stalled || sw.ring.done(), "lockstep window stalled");
+                    }
+                    Err(e) => {
+                        rv.stop.store(true, Ordering::Release);
+                        rv.start.wait();
+                        break Err(e);
+                    }
+                }
+            }
+            rv.min_head.store(u64::MAX, Ordering::Release);
+            rv.all_done.store(true, Ordering::Release);
+            rv.start.wait();
+            // Parallel phase: the leader works its own chunk too.
+            advance_chunk(leader_chunk, &rv);
+            rv.end.wait();
+            if rv.has_panicked() || rv.all_done.load(Ordering::Acquire) {
+                rv.stop.store(true, Ordering::Release);
+                rv.start.wait();
+                break Ok(());
+            }
+        }
+    });
+    // The scope has joined: re-raise a worker (or leader-chunk) panic on
+    // the calling thread with its original payload.
+    let payload =
+        rv.panicked.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(payload) = payload {
+        resume_unwind(payload);
+    }
+    result
 }
 
 /// The stream state the timing threads share. The leader mutates it
@@ -403,9 +453,9 @@ struct SharedWindow {
     facts: Box<[Facts]>,
 }
 
-/// Rendezvous state for one parallel drive: the shared window, the two
-/// round barriers, and the accumulators each chunk folds its progress
-/// into during a round (reset by the leader between rounds).
+/// Rendezvous state for one drive: the shared window, the two round
+/// barriers, and the accumulators each chunk folds its progress into
+/// during a round (reset by the leader between rounds).
 struct Rendezvous {
     shared: RwLock<SharedWindow>,
     /// Round start: workers block here while the leader owns the window.
@@ -474,104 +524,6 @@ fn worker_loop(pipes: &mut [Pipeline], rv: &Rendezvous) {
         advance_chunk(pipes, rv);
         rv.end.wait();
     }
-}
-
-/// The parallel inner loop. The calling thread is the leader: it owns the
-/// source and the facts builder, fills the window exclusively between
-/// rounds, and advances the first chunk itself during rounds; `fanout - 1`
-/// scoped workers (spawned once per drive, not per window) advance the
-/// remaining chunks. Bit-identity with [`drive_serial`] holds because the
-/// fill sequence depends only on the global minimum dispatch point —
-/// which the chunks accumulate exactly — and each `Pipeline::advance`
-/// reads nothing but the immutable window and its own state, so chunk
-/// assignment and thread interleaving are timing-invisible.
-fn drive_parallel<S: RecordSource>(
-    pipes: &mut [Pipeline],
-    src: &mut S,
-    heap_base: u64,
-    ring: RecordRing,
-    facts: Box<[Facts]>,
-    fanout: usize,
-) -> Result<(), StreamError> {
-    let rv = Rendezvous {
-        shared: RwLock::new(SharedWindow { ring, facts }),
-        start: Barrier::new(fanout),
-        end: Barrier::new(fanout),
-        // Every pipeline starts dispatching at seq 0, like the serial
-        // path's first `keep`.
-        min_head: AtomicU64::new(0),
-        all_done: AtomicBool::new(true),
-        stop: AtomicBool::new(false),
-        panicked: Mutex::new(None),
-    };
-    let mut builder = FactsBuilder::new();
-    // Exactly `fanout` chunks, sizes differing by at most one (plain
-    // `chunks_mut` could come up short — 4 pipes over 3 threads would
-    // yield 2 chunks of 2 and deadlock the 3-party barriers).
-    let mut chunks = Vec::with_capacity(fanout);
-    let mut rest = pipes;
-    for i in 0..fanout {
-        let (head, tail) = rest.split_at_mut(rest.len().div_ceil(fanout - i));
-        chunks.push(head);
-        rest = tail;
-    }
-    let mut chunks = chunks.into_iter();
-    let leader_chunk = chunks.next().expect("fanout > 1 implies pipelines");
-
-    let result = std::thread::scope(|scope| {
-        for worker_pipes in chunks {
-            let rv = &rv;
-            scope.spawn(move || worker_loop(worker_pipes, rv));
-        }
-        loop {
-            // Exclusive phase: every worker is parked at (or headed to)
-            // the start barrier, so the write lock is uncontended.
-            {
-                let mut guard =
-                    rv.shared.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let sw = &mut *guard;
-                let keep = rv.min_head.load(Ordering::Acquire);
-                match sw.ring.fill(src, keep) {
-                    Ok(fresh) => {
-                        let stalled = fresh.is_empty();
-                        for seq in fresh {
-                            sw.facts[(seq & sw.ring.mask()) as usize] =
-                                builder.extract(seq, sw.ring.get(seq), heap_base);
-                        }
-                        // Same invariant as the serial loop: an empty fill
-                        // with unfinished pipelines means the stream ended
-                        // and they are draining.
-                        debug_assert!(!stalled || sw.ring.done(), "lockstep window stalled");
-                    }
-                    Err(e) => {
-                        rv.stop.store(true, Ordering::Release);
-                        rv.start.wait();
-                        break Err(e);
-                    }
-                }
-            }
-            rv.min_head.store(u64::MAX, Ordering::Release);
-            rv.all_done.store(true, Ordering::Release);
-            rv.start.wait();
-            // Parallel phase: the leader works its own chunk too.
-            advance_chunk(leader_chunk, &rv);
-            rv.end.wait();
-            if rv.has_panicked() || rv.all_done.load(Ordering::Acquire) {
-                rv.stop.store(true, Ordering::Release);
-                rv.start.wait();
-                break Ok(());
-            }
-        }
-    });
-    // The scope has joined: re-raise a worker (or leader-chunk) panic on
-    // the calling thread with its original payload, exactly as the serial
-    // path would have panicked.
-    let payload =
-        rv.panicked.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -668,22 +620,28 @@ mod tests {
     #[test]
     fn a_worker_panic_reaches_the_caller_with_its_payload() {
         // A zero-width machine never commits, so its pipeline trips the
-        // deadlock assert on whatever thread advances it; the caller must
+        // deadlock assert on whatever thread advances it (the calling
+        // thread itself at fanout 1); the caller must
         // observe the original panic message (the harness keys its
         // bisection/quarantine path off it).
         let p = kernel();
         let mut configs = config_set();
         configs.push(CpuConfig { width: 0, ..CpuConfig::wide4() });
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_lockstep_fanout(&configs, &p, u64::MAX, 4)
-        }));
-        let payload = caught.expect_err("a deadlocked pipeline must panic the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        assert!(msg.contains("pipeline deadlock"), "unexpected panic payload: {msg:?}");
+        for fanout in [1, 4] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_lockstep_fanout(&configs, &p, u64::MAX, fanout)
+            }));
+            let payload = caught.expect_err("a deadlocked pipeline must panic the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            assert!(
+                msg.contains("pipeline deadlock"),
+                "unexpected panic payload at fanout {fanout}: {msg:?}"
+            );
+        }
     }
 
     #[test]

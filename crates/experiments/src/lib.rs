@@ -54,8 +54,8 @@ pub use svf_workloads::Scale;
 pub use table::ExpTable;
 
 /// Runs a design-space sweep on the process-global harness — the library
-/// seam behind `svf-experiments --sweep SPEC.toml`, so `--jobs` and
-/// lockstep policy reach sweeps exactly the way they reach the figures.
+/// seam behind `svf-experiments --sweep SPEC.toml`, so `--threads` and
+/// `--out` reach sweeps exactly the way they reach the figures.
 ///
 /// # Errors
 ///

@@ -2,29 +2,22 @@
 //!
 //! ```text
 //! svf-experiments <experiment> [--scale test|small|full] [--csv DIR]
-//!                              [--jobs N] [--threads T] [--out DIR]
-//!                              [--no-lockstep] [--timeout SECS] [--retries N]
-//!                              [--sample SPEC]
-//! svf-experiments --sweep SPEC.toml [--csv DIR] [--jobs N] [--threads T]
-//!                                   [--no-lockstep]
+//!                              [--threads T] [--out DIR] [--timeout SECS]
+//!                              [--retries N] [--sample SPEC]
+//! svf-experiments --sweep SPEC.toml [--csv DIR] [--threads T]
 //! svf-experiments --list-configs
 //! experiments: fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig9 table1 table2
 //!              table3 table4 ablation-* partial-word all
 //! --csv DIR      additionally writes each result table as DIR/<id>[.n].csv
 //!                (for --sweep: DIR/points.csv and DIR/pareto.csv)
-//! --jobs N       simulate N jobs in parallel (default: all hardware threads)
-//! --threads T    unified thread budget: the run occupies at most T threads,
-//!                split between job workers and intra-batch timing fan-out
-//!                (jobs × fanout ≤ T; wide lockstep batches borrow idle job
-//!                slots). Without it, batches advance their pipelines
-//!                serially on their worker thread. Results are bit-identical
-//!                at any fan-out.
+//! --threads T    the run occupies at most T threads (default: all hardware
+//!                threads), split between job workers (one per program at
+//!                most) and intra-batch timing fan-out (jobs × fanout ≤ T;
+//!                wide lockstep batches borrow idle job slots). Results are
+//!                bit-identical at any T.
 //! --out DIR      per-job result sink: DIR/<experiment>/<job>.csv; jobs whose
 //!                result file exists are resumed instead of re-simulated
 //!                (sweeps also journal completed points for crash-safe resume)
-//! --no-lockstep  simulate each job against its own emulator instead of
-//!                batching jobs that share a program over one functional
-//!                stream (bit-identical either way; for A/B timing)
 //! --timeout SECS per-attempt watchdog: an attempt exceeding the limit is
 //!                abandoned as a (retryable) timeout instead of hanging the run
 //! --retries N    total attempts per job for retryable failures (default 3)
@@ -72,8 +65,8 @@ const EXPERIMENTS: &[&str] = &[
 
 fn usage() -> ! {
     eprintln!(
-        "usage: svf-experiments <experiment> [--scale test|small|full] [--csv DIR] [--jobs N] [--threads T] [--out DIR] [--no-lockstep] [--timeout SECS] [--retries N] [--sample SPEC]\n\
-         \u{20}      svf-experiments --sweep SPEC.toml [--csv DIR] [--jobs N] [--threads T] [--no-lockstep]\n\
+        "usage: svf-experiments <experiment> [--scale test|small|full] [--csv DIR] [--threads T] [--out DIR] [--timeout SECS] [--retries N] [--sample SPEC]\n\
+         \u{20}      svf-experiments --sweep SPEC.toml [--csv DIR] [--threads T]\n\
          \u{20}      svf-experiments --list-configs\n\
          experiments: {}",
         EXPERIMENTS.join(" ")
@@ -96,10 +89,8 @@ fn main() {
     let mut which: Option<String> = None;
     let mut scale = Scale::Small;
     let mut csv_dir: Option<String> = None;
-    let mut jobs: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut out_dir: Option<String> = None;
-    let mut lockstep = true;
     let mut timeout: Option<f64> = None;
     let mut retries: Option<u32> = None;
     let mut sweep_spec: Option<String> = None;
@@ -107,7 +98,6 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--no-lockstep" => lockstep = false,
             "--list-configs" => {
                 print!("{}", svf_configspace::registry::listing());
                 return;
@@ -123,13 +113,6 @@ fn main() {
             }
             "--csv" => csv_dir = Some(required_value(&mut it, "--csv")),
             "--out" => out_dir = Some(required_value(&mut it, "--out")),
-            "--jobs" => {
-                let v = required_value(&mut it, "--jobs");
-                jobs = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => fail(&format!("--jobs must be a positive integer, got {v:?}")),
-                };
-            }
             "--threads" => {
                 let v = required_value(&mut it, "--threads");
                 threads = match v.parse::<usize>() {
@@ -179,12 +162,8 @@ fn main() {
     }
 
     // Every figure/table driver routes its simulations through the global
-    // harness, so `--jobs`/`--out` are installed exactly once, here.
-    let mut harness =
-        svf_harness::Harness::parallel().with_progress(true).with_lockstep(lockstep);
-    if let Some(n) = jobs {
-        harness = harness.with_workers(n);
-    }
+    // harness, so `--threads`/`--out` are installed exactly once, here.
+    let mut harness = svf_harness::Harness::parallel().with_progress(true);
     if let Some(t) = threads {
         harness = harness.with_threads(t);
     }

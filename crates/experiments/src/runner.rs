@@ -4,7 +4,7 @@
 //! configuration, one simulation). Everything that sweeps a matrix of
 //! configurations goes through [`matrix`]/[`matrix_for`], which expand to
 //! an [`Experiment`](svf_harness::Experiment) and execute it on the
-//! process-global [`svf_harness`] worker pool — `--jobs`/`--out` on the
+//! process-global [`svf_harness`] worker pool — `--threads`/`--out` on the
 //! CLI reach every figure through that one seam.
 
 use svf_cpu::{CpuConfig, SimStats, Simulator};

@@ -15,9 +15,9 @@
 //! | `trunc@N` | returns a truncated-trace failure | [`JobError::TraceTruncated`], final |
 //! | `abort@N` | `std::process::abort()` — a crash with no cleanup, the in-process equivalent of `kill -9` | (process dies) |
 //!
-//! Jobs with a planned fault are excluded from lockstep batches and run on
-//! the individual path, so the fault flows through the full watchdog /
-//! retry / classification machinery rather than poisoning a shared batch.
+//! Jobs with a planned fault run as batches of one, so the fault flows
+//! through the full watchdog / retry / classification machinery rather
+//! than poisoning a shared batch.
 //!
 //! The hook costs one relaxed atomic load per job when no fault is armed.
 

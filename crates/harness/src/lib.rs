@@ -7,22 +7,22 @@
 //! 1. **Expansion** — an [`Experiment`] expands into a deterministic list
 //!    of [`Job`]s (`{program, config_label, config}` units, ids in
 //!    definition order).
-//! 2. **Execution** — a [`Harness`] drains the job list across
-//!    `std::thread` workers fed by a shared queue. Program compilation is
-//!    **memoized process-wide**: the first job needing a [`ProgramSpec`]
-//!    compiles it, every other job sharing the spec reuses the same
-//!    `Arc<Program>` — a C-config × W-workload matrix performs W
-//!    compilations, not C·W (see [`compile_count`]). With **lockstep
-//!    batching** (the default, see [`Harness::with_lockstep`]) the
-//!    *functional execution* is shared the same way: jobs with the same
-//!    spec form one scheduling group driven by [`svf_cpu::run_lockstep`],
-//!    so the emulator runs once per program instead of once per job, with
-//!    bit-identical results. Work runs under `catch_unwind`, so one
-//!    diverging simulation reports as [`JobOutcome::Failed`] instead of
-//!    killing the run (a panicking lockstep group re-runs its jobs
-//!    individually, isolating the diverging one); a failing or panicking
-//!    *compile* poisons only its cache entry, failing exactly the jobs
-//!    that share the spec, all with the same message.
+//! 2. **Execution** — a [`Harness`] groups the jobs by program and drains
+//!    the groups across `std::thread` workers fed by a shared queue. Its
+//!    one thread count (see [`Harness::with_threads`]) caps the workers at
+//!    one per group and funds intra-batch timing fan-out with the rest.
+//!    Program compilation is **memoized process-wide**: the first group
+//!    needing a [`ProgramSpec`] compiles it, every other sharer reuses the
+//!    same `Arc<Program>` — a C-config × W-workload matrix performs W
+//!    compilations, not C·W (see [`compile_count`]). The *functional
+//!    execution* is shared the same way: a group's jobs run as one
+//!    **lockstep batch** over [`svf_cpu::run_lockstep_fanout`], so the
+//!    emulator runs once per program instead of once per job, with
+//!    bit-identical results. A single job is simply a batch of one. Work
+//!    runs under `catch_unwind`, so one diverging simulation reports as
+//!    [`JobOutcome::Failed`] instead of killing the run; a failing or
+//!    panicking *compile* poisons only its cache entry, failing exactly
+//!    the jobs that share the spec, all with the same message.
 //! 3. **Reassembly** — results come back in job-id order, making parallel
 //!    output bit-identical to serial output (every simulation is itself
 //!    deterministic).
@@ -40,18 +40,18 @@
 //!    [`Harness::with_retries`] / [`Harness::with_timeout`]) bounds how
 //!    hard the runner tries: retryable failures re-attempt with exponential
 //!    backoff, and an optional per-attempt watchdog abandons hung attempts
-//!    as [`JobError::Timeout`]. A lockstep batch that panics or hangs is
+//!    as [`JobError::Timeout`]. A batch that panics or hangs is
 //!    **bisected**: the batch splits in half recursively until the
-//!    offending job fails alone, and that job is *quarantined*
+//!    offending job runs alone, and only such one-job batches retry. A job
+//!    whose final failure is a panic or hang is *quarantined*
 //!    (process-globally, by program + configuration) so later runs in the
-//!    process never batch it again — survivors keep sharing streams
-//!    instead of all falling back to serial. The deterministic
-//!    `SVF_FAULT_PLAN` hook (see [`crate::fault`] via
+//!    process run it alone — survivors keep sharing streams. The
+//!    deterministic `SVF_FAULT_PLAN` hook (see [`crate::fault`] via
 //!    [`install_fault_plan`]) injects panics, I/O errors, hangs, truncated
 //!    traces, and process aborts at chosen job ids to test all of this.
 //!
 //! 6. **Sampled simulation** — [`Harness::with_sample`] switches every
-//!    job (solo or batched) to [`svf_cpu::run_sampled`]: the program runs
+//!    batch to [`svf_cpu::run_sampled_fanout`]: the program runs
 //!    functionally end to end and only the plan's measured intervals pay
 //!    detailed cost, with the stratified whole-run estimate reported in
 //!    the ordinary [`SimStats`] shape — so sinks, resume, retries, fault
@@ -110,25 +110,22 @@ pub use experiment::Experiment;
 pub use fault::install_fault_plan;
 pub use job::{Job, JobOutcome, JobReport, ProgramSpec};
 pub use memo::compile_count;
-pub use pool::{parallel_map, parallel_map_with, FanoutClaim, ThreadBudget};
+pub use pool::{parallel_map, parallel_map_with};
+use pool::ThreadBudget;
 pub use sink::{atomic_write, RunDir};
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 
 use progress::Progress;
 
-/// Execution policy: how many workers, where results go, whether to narrate,
-/// whether jobs sharing a program ride one functional stream, whether
-/// simulations run sampled (detailed intervals over a functional
-/// fast-forward) instead of fully detailed, and — with a thread budget —
-/// how many threads the whole run may occupy across job workers *and*
-/// intra-batch timing fan-out.
+/// Execution policy: how many threads the run may occupy, where results
+/// go, whether to narrate, how hard to retry, and whether simulations run
+/// sampled (detailed intervals over a functional fast-forward) instead of
+/// fully detailed.
 #[derive(Debug, Clone)]
 pub struct Harness {
-    workers: usize,
-    threads: Option<usize>,
+    threads: usize,
     out_dir: Option<PathBuf>,
     progress: bool,
-    lockstep: bool,
     policy: RetryPolicy,
     sample: Option<SampleSpec>,
 }
@@ -140,48 +137,44 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// One worker per available hardware thread, no result sink, quiet.
+    /// One thread per available hardware thread, no result sink, quiet.
     #[must_use]
     pub fn parallel() -> Harness {
-        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         Harness {
-            workers,
-            threads: None,
+            threads: thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             out_dir: None,
             progress: false,
-            lockstep: true,
             policy: RetryPolicy::default(),
             sample: None,
         }
     }
 
-    /// A single worker (the job queue still runs, panic isolation included).
+    /// A single thread (the job queue still runs, panic isolation included).
     #[must_use]
     pub fn serial() -> Harness {
-        Harness::parallel().with_workers(1)
+        Harness::parallel().with_threads(1)
     }
 
-    /// Sets the worker count (clamped to at least 1).
+    /// Alias of [`Harness::with_threads`]: the harness keeps one thread
+    /// count, which caps the job workers and funds timing fan-out.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Harness {
-        self.workers = workers.max(1);
-        self
+    pub fn with_workers(self, workers: usize) -> Harness {
+        self.with_threads(workers)
     }
 
-    /// Sets the unified thread budget (clamped to at least 1): the run may
-    /// occupy at most `total` threads, split between job-level workers and
-    /// intra-batch timing fan-out so that `jobs × fanout ≤ total`. Workers
-    /// are capped at the budget; whatever the workers do not use funds a
-    /// spare pool that lockstep batches claim extra timing threads from
-    /// ([`svf_cpu::run_lockstep_fanout`]), and a worker that drains the
-    /// job queue donates its seat back so wide batches still in flight can
-    /// borrow it. Without a budget every batch advances its pipelines
-    /// serially on its worker thread (fanout 1), the pre-budget behaviour.
-    /// Results are bit-identical at any fanout (pinned by the workspace
-    /// golden tests).
+    /// Sets the thread count (clamped to at least 1; defaults to the
+    /// available hardware parallelism): the run occupies at most `total`
+    /// threads, split between job-level workers and intra-batch timing
+    /// fan-out so that `jobs × fanout ≤ total`. A run spawns
+    /// `min(total, groups)` workers, one per program group at most;
+    /// whatever they leave unused funds a spare pool that lockstep batches
+    /// claim extra timing threads from ([`svf_cpu::run_lockstep_fanout`]),
+    /// and a worker that drains the job queue donates its seat back so wide
+    /// batches still in flight can borrow it. Results are bit-identical at
+    /// any fanout (pinned by the workspace golden tests).
     #[must_use]
     pub fn with_threads(mut self, total: usize) -> Harness {
-        self.threads = Some(total.max(1));
+        self.threads = total.max(1);
         self
     }
 
@@ -197,19 +190,6 @@ impl Harness {
     #[must_use]
     pub fn with_progress(mut self, on: bool) -> Harness {
         self.progress = on;
-        self
-    }
-
-    /// Enables or disables lockstep batching (on by default): jobs sharing
-    /// a [`ProgramSpec`] are scheduled as one group riding a single
-    /// functional execution of the program ([`svf_cpu::run_lockstep`]),
-    /// instead of each job re-running the emulator. Results are
-    /// bit-identical either way (pinned by the workspace golden tests);
-    /// lockstep trades per-job scheduling granularity for doing the
-    /// functional work once per program.
-    #[must_use]
-    pub fn with_lockstep(mut self, on: bool) -> Harness {
-        self.lockstep = on;
         self
     }
 
@@ -261,15 +241,10 @@ impl Harness {
         self.sample.as_ref()
     }
 
-    /// The configured worker count.
+    /// The configured thread count: the most job workers a run spawns, and
+    /// the budget their spare seats fund timing fan-out from.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The unified thread budget, if one was set.
-    #[must_use]
-    pub fn threads(&self) -> Option<usize> {
         self.threads
     }
 
@@ -301,37 +276,31 @@ impl Harness {
         });
         let jobs = exp.jobs();
         let progress = Progress::new(&exp.name, jobs.len(), self.progress);
-        // The scheduling unit is a *group*: all jobs sharing a program when
-        // lockstep is on (they ride one functional stream), singletons
-        // otherwise.
-        let groups = group_jobs(jobs, self.lockstep);
-        // With a thread budget the job workers are capped at the budget and
-        // whatever they leave unused funds intra-batch timing fan-out;
-        // without one, the budget has no spare and every batch runs serial.
-        let workers = self
-            .threads
-            .map_or(self.workers, |t| self.workers.min(t))
-            .clamp(1, groups.len().max(1));
-        let budget = ThreadBudget::new(self.threads.unwrap_or(workers), workers);
+        // The scheduling unit is a *group*: all jobs sharing a program ride
+        // one functional stream.
+        let groups = group_jobs(jobs);
+        // Workers are capped by the groups; whatever threads they leave
+        // unused fund intra-batch timing fan-out.
+        let workers = self.threads.clamp(1, groups.len().max(1));
+        let budget = ThreadBudget::new(self.threads, workers);
         progress.set_parallelism(workers, 1);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<JobReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let ctx = RunCtx {
+            jobs,
+            sink: sink.as_ref(),
+            progress: &progress,
+            policy: &self.policy,
+            sample: self.sample.as_ref(),
+            budget: &budget,
+        };
         thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
                         let Some(idxs) = groups.get(g) else { break };
-                        run_group(
-                            jobs,
-                            idxs,
-                            sink.as_ref(),
-                            &progress,
-                            &slots,
-                            &self.policy,
-                            self.sample.as_ref(),
-                            &budget,
-                        );
+                        run_group(&ctx, idxs, &slots);
                     }
                     // This worker is done for good: donate its seat so wide
                     // batches still in flight can widen their next claim.
@@ -352,13 +321,9 @@ impl Harness {
     }
 }
 
-/// Partitions job indices into scheduling groups: per-program when
-/// `lockstep` (in first-appearance order, members in id order), singletons
-/// otherwise.
-fn group_jobs(jobs: &[Job], lockstep: bool) -> Vec<Vec<usize>> {
-    if !lockstep {
-        return (0..jobs.len()).map(|i| vec![i]).collect();
-    }
+/// Partitions job indices into per-program scheduling groups (in
+/// first-appearance order, members in id order).
+fn group_jobs(jobs: &[Job]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut by_program: HashMap<memo::Key, usize> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -373,35 +338,39 @@ fn group_jobs(jobs: &[Job], lockstep: bool) -> Vec<Vec<usize>> {
     groups
 }
 
+/// What every batch of one run shares: the job list and the run's policy,
+/// sink, progress line and thread budget.
+struct RunCtx<'a> {
+    jobs: &'a [Job],
+    sink: Option<&'a RunDir>,
+    progress: &'a Progress,
+    policy: &'a RetryPolicy,
+    sample: Option<&'a SampleSpec>,
+    budget: &'a ThreadBudget,
+}
+
 /// Executes one scheduling group: resumes what the sink already holds
-/// (re-running anything the sink reports as corrupt), pulls
-/// quarantined/fault-planned jobs onto the individual path, and batches the
-/// remaining fresh jobs through [`svf_cpu::run_lockstep`] over one shared
-/// functional execution — bisecting the batch on panic or hang. Fills
-/// `slots` and `progress` exactly like per-job execution would.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    jobs: &[Job],
-    idxs: &[usize],
-    sink: Option<&RunDir>,
-    progress: &Progress,
-    slots: &[Mutex<Option<JobReport>>],
-    policy: &RetryPolicy,
-    sample: Option<&SampleSpec>,
-    budget: &ThreadBudget,
-) {
+/// (re-running anything the sink reports as corrupt), compiles the program
+/// once (memoized) if anything is left, and runs the fresh jobs as batches
+/// through [`run_batch`]. Quarantined and fault-planned jobs run as batches
+/// of one, so their failure takes the per-job retry path instead of
+/// poisoning a shared batch; the healthy rest rides one batch. Batches run
+/// in order of their first job id, so a run killed mid-group (a planned
+/// `abort`) leaves a reproducible set of stored results.
+fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>]) {
+    let jobs = ctx.jobs;
     let deliver = |i: usize, report: JobReport| {
         let (cycles, resumed, failed) = match &report.outcome {
             JobOutcome::Completed(s) => (s.cycles, false, false),
             JobOutcome::Resumed(_) => (0, true, false),
             JobOutcome::Failed(_) => (0, false, true),
         };
-        progress.record(cycles, resumed, failed);
+        ctx.progress.record(cycles, resumed, failed);
         *slots[i].lock().expect("report slot") = Some(report);
     };
     let mut fresh: Vec<usize> = Vec::new();
     for &i in idxs {
-        match sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
+        match ctx.sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
             Ok(Some(stats)) => {
                 deliver(i, report_for(&jobs[i], JobOutcome::Resumed(stats), Duration::ZERO));
             }
@@ -414,83 +383,132 @@ fn run_group(
             }
         }
     }
-    // Jobs with a planned fault or a quarantine record run alone so their
-    // failure exercises (or already exercised) the per-job machinery
-    // instead of poisoning a shared batch.
-    let (mut solo, batch): (Vec<usize>, Vec<usize>) =
+    let Some(&first) = fresh.first() else { return };
+    let program = match memo::compile_shared(&jobs[first].program) {
+        Ok(p) => p,
+        // Compilation failed: every sharer fails with one message.
+        Err(e) => {
+            for i in fresh {
+                deliver(i, report_for(&jobs[i], JobOutcome::Failed(e.clone()), Duration::ZERO));
+            }
+            return;
+        }
+    };
+    let (solo, shared): (Vec<usize>, Vec<usize>) =
         fresh.into_iter().partition(|&i| fault::planned(jobs[i].id) || quarantined(&jobs[i]));
-    if batch.len() >= 2 {
+    let mut batches: Vec<Vec<usize>> = solo.into_iter().map(|i| vec![i]).collect();
+    if !shared.is_empty() {
+        batches.push(shared);
+    }
+    batches.sort_unstable_by_key(|b| b[0]);
+    for members in batches {
         let t0 = Instant::now();
-        let results = run_batch(jobs, &batch, policy, progress, sample, budget);
-        let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(1).max(1);
+        let results = run_batch(ctx, &program, &members);
+        let wall = t0.elapsed() / u32::try_from(members.len()).unwrap_or(u32::MAX);
         for (i, result) in results {
             let outcome = match result {
                 Ok(stats) => {
-                    store_with_retry(sink, &jobs[i], &stats, policy);
+                    store_with_retry(ctx.sink, &jobs[i], &stats, ctx.policy);
                     JobOutcome::Completed(stats)
                 }
                 Err(e) => JobOutcome::Failed(e),
             };
             deliver(i, report_for(&jobs[i], outcome, wall));
         }
-    } else {
-        solo.extend(batch);
-    }
-    for &i in &solo {
-        deliver(i, run_one_fresh(&jobs[i], sink, policy, progress, sample));
     }
 }
 
-/// The batched heart of a group: compile once (memoized), simulate every
-/// member configuration over one shared stream. A batch that panics or
-/// trips the (width-scaled) watchdog is **bisected**: each half re-runs as
-/// its own batch, recursively, until the offending member fails alone —
-/// where it goes through the full per-job retry path and is quarantined.
-/// Survivor halves keep sharing streams, so one bad configuration costs
-/// `O(log n)` re-batches rather than degrading the whole group to serial.
+/// Simulates every member configuration over one shared stream of
+/// `program`. A multi-member batch that panics or trips the (width-scaled)
+/// watchdog is **bisected**: each half re-runs as its own batch,
+/// recursively, so survivor halves keep sharing streams and one bad
+/// configuration costs `O(log n)` re-batches. A one-member batch is a
+/// leaf: retryable failures re-attempt with backoff until the policy's
+/// attempt budget runs out, and a *final* divergence or hang quarantines
+/// the job so it never rides a shared batch again this process.
 fn run_batch(
-    jobs: &[Job],
+    ctx: &RunCtx<'_>,
+    program: &Arc<Program>,
     members: &[usize],
-    policy: &RetryPolicy,
-    progress: &Progress,
-    sample: Option<&SampleSpec>,
-    budget: &ThreadBudget,
 ) -> Vec<(usize, Result<SimStats, JobError>)> {
-    if let [i] = members {
-        return vec![(*i, execute_with_policy(&jobs[*i], policy, progress, sample))];
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        let e = match attempt_batch(ctx, program, members) {
+            Ok(stats) => return members.iter().copied().zip(stats.into_iter().map(Ok)).collect(),
+            Err(e) => e,
+        };
+        let &[i] = members else {
+            let (a, b) = members.split_at(members.len() / 2);
+            let mut out = run_batch(ctx, program, a);
+            out.extend(run_batch(ctx, program, b));
+            return out;
+        };
+        if e.retryable() && attempt < ctx.policy.attempts.max(1) {
+            ctx.progress.record_retry();
+            thread::sleep(ctx.policy.backoff_before(attempt + 1));
+            continue;
+        }
+        if matches!(e, JobError::Panic(_) | JobError::Timeout { .. }) {
+            quarantine(&ctx.jobs[i]);
+        }
+        return vec![(i, Err(e))];
     }
-    let program = match memo::compile_shared(&jobs[members[0]].program) {
-        Ok(p) => p,
-        // Compilation failed: every sharer fails with one message, exactly
-        // like the per-job memo path.
-        Err(e) => return members.iter().map(|&i| (i, Err(e.clone()))).collect(),
-    };
-    let configs: Vec<CpuConfig> = members.iter().map(|&i| jobs[i].config.clone()).collect();
-    // N jobs ride one stream, so the watchdog budget scales with width.
-    let limit = policy.timeout.map(|t| t * u32::try_from(members.len()).unwrap_or(u32::MAX));
-    // Borrow spare budget threads for the duration of this attempt; the
-    // claim is released before any bisection so the halves re-claim for
-    // themselves.
-    let claim = budget.claim(members.len());
+}
+
+/// One attempt at a batch, panic-caught, under the watchdog if the policy
+/// sets one (scaled by width: N jobs ride one stream). A planned
+/// `SVF_FAULT_PLAN` fault fires inside the attempt, so injected failures
+/// traverse exactly the machinery a real one would. With a sampling plan
+/// the batch rides one sampled stream ([`svf_cpu::run_sampled_fanout`]).
+/// The batch borrows spare budget threads for the attempt and returns them
+/// before any retry or bisection; a panic on any timing thread surfaces
+/// here with its original payload.
+fn attempt_batch(
+    ctx: &RunCtx<'_>,
+    program: &Arc<Program>,
+    members: &[usize],
+) -> Result<Vec<SimStats>, JobError> {
+    let claim = ctx.budget.claim(members.len());
     let fanout = claim.fanout();
-    progress.record_fanout(fanout);
-    let attempted = attempt_lockstep(&program, &configs, limit, sample, fanout);
-    drop(claim);
-    match attempted {
+    ctx.progress.record_fanout(fanout);
+    let ids: Vec<usize> = members.iter().map(|&i| ctx.jobs[i].id).collect();
+    let configs: Vec<CpuConfig> = members.iter().map(|&i| ctx.jobs[i].config.clone()).collect();
+    let program = Arc::clone(program);
+    let sample = ctx.sample.copied();
+    let work = move || {
+        for id in ids {
+            fault::fire(id)?;
+        }
+        Ok(match &sample {
+            None => (svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None),
+            Some(spec) => {
+                let sampled =
+                    svf_cpu::run_sampled_fanout(&configs, &program, u64::MAX, spec, fanout);
+                // The schedule is shared, so one split describes every member.
+                let meta = sampled.first().map(|s| (s.detailed_insts, s.fast_forwarded()));
+                (sampled.into_iter().map(|s| s.stats).collect(), meta)
+            }
+        })
+    };
+    let limit = ctx.policy.timeout.map(|t| t * u32::try_from(members.len()).unwrap_or(u32::MAX));
+    let result = match limit {
+        None => catch_unwind(AssertUnwindSafe(work))
+            .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref()))),
+        Some(limit) => watchdog(limit, work),
+    };
+    match result {
         Ok((stats, meta)) => {
             if let Some((detailed, fast_forwarded)) = meta {
-                progress.record_sample(detailed, fast_forwarded);
+                ctx.progress.record_sample(detailed, fast_forwarded);
             }
-            members.iter().copied().zip(stats.into_iter().map(Ok)).collect()
+            Ok(stats)
         }
         Err(e) => {
             if matches!(e, JobError::Timeout { .. }) {
-                progress.record_timeout();
+                ctx.progress.record_timeout();
             }
-            let (a, b) = members.split_at(members.len() / 2);
-            let mut out = run_batch(jobs, a, policy, progress, sample, budget);
-            out.extend(run_batch(jobs, b, policy, progress, sample, budget));
-            out
+            Err(e)
         }
     }
 }
@@ -503,127 +521,6 @@ fn report_for(job: &Job, outcome: JobOutcome, wall: Duration) -> JobReport {
         outcome,
         wall,
     }
-}
-
-/// Executes one known-fresh job under the retry policy and stores the
-/// result. Never lets a panic escape.
-fn run_one_fresh(
-    job: &Job,
-    sink: Option<&RunDir>,
-    policy: &RetryPolicy,
-    progress: &Progress,
-    sample: Option<&SampleSpec>,
-) -> JobReport {
-    let t0 = Instant::now();
-    let outcome = match execute_with_policy(job, policy, progress, sample) {
-        Ok(stats) => {
-            store_with_retry(sink, job, &stats, policy);
-            JobOutcome::Completed(stats)
-        }
-        Err(e) => JobOutcome::Failed(e),
-    };
-    report_for(job, outcome, t0.elapsed())
-}
-
-/// One job through the full retry loop: attempts (watchdogged if the policy
-/// asks) until success, a non-retryable failure, or the attempt budget runs
-/// out. A job whose *final* failure is a divergence or a hang is
-/// quarantined so it never rides a lockstep batch again this process.
-fn execute_with_policy(
-    job: &Job,
-    policy: &RetryPolicy,
-    progress: &Progress,
-    sample: Option<&SampleSpec>,
-) -> Result<SimStats, JobError> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let result = attempt_job(job, policy.timeout, sample);
-        match result {
-            Ok((stats, meta)) => {
-                if let Some((detailed, fast_forwarded)) = meta {
-                    progress.record_sample(detailed, fast_forwarded);
-                }
-                return Ok(stats);
-            }
-            Err(e) => {
-                if matches!(e, JobError::Timeout { .. }) {
-                    progress.record_timeout();
-                }
-                if e.retryable() && attempt < policy.attempts.max(1) {
-                    progress.record_retry();
-                    thread::sleep(policy.backoff_before(attempt + 1));
-                    continue;
-                }
-                if matches!(e, JobError::Panic(_) | JobError::Timeout { .. }) {
-                    quarantine(job);
-                }
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// `(detailed, fast-forwarded)` instruction counts of one sampled
-/// execution, reported to the progress line. `None` for full runs.
-type SampleMeta = Option<(u64, u64)>;
-
-/// One execution attempt, panic-caught, optionally under a watchdog.
-/// Sampled attempts carry their detailed/fast-forwarded instruction split
-/// back alongside the estimate.
-fn attempt_job(
-    job: &Job,
-    timeout: Option<Duration>,
-    sample: Option<&SampleSpec>,
-) -> Result<(SimStats, SampleMeta), JobError> {
-    let job = job.clone();
-    let sample = sample.copied();
-    let work = move || match &sample {
-        None => job.execute().map(|s| (s, None)),
-        Some(spec) => job.execute_sampled(spec).map(|s| {
-            let meta = Some((s.detailed_insts, s.fast_forwarded()));
-            (s.stats, meta)
-        }),
-    };
-    let Some(limit) = timeout else {
-        return catch_unwind(AssertUnwindSafe(work))
-            .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref())));
-    };
-    watchdog(limit, work)
-}
-
-/// One lockstep-batch attempt, panic-caught, optionally under a watchdog.
-/// With a sampling plan the whole batch rides one sampled stream
-/// ([`svf_cpu::run_sampled_fanout`]) instead of one full stream; the
-/// schedule is shared, so one `(detailed, fast-forwarded)` pair describes
-/// every member. `fanout` is the number of timing threads the batch may
-/// spread its pipelines over (1 = the classic serial advance); results are
-/// bit-identical at any fanout, and a panic on any timing thread surfaces
-/// here with its original payload, so bisection and quarantine behave
-/// exactly as they do on the serial path.
-fn attempt_lockstep(
-    program: &Arc<Program>,
-    configs: &[CpuConfig],
-    timeout: Option<Duration>,
-    sample: Option<&SampleSpec>,
-    fanout: usize,
-) -> Result<(Vec<SimStats>, SampleMeta), JobError> {
-    let program = Arc::clone(program);
-    let configs = configs.to_vec();
-    let sample = sample.copied();
-    let work = move || match &sample {
-        None => Ok((svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None)),
-        Some(spec) => {
-            let sampled = svf_cpu::run_sampled_fanout(&configs, &program, u64::MAX, spec, fanout);
-            let meta = sampled.first().map(|s| (s.detailed_insts, s.fast_forwarded()));
-            Ok((sampled.into_iter().map(|s| s.stats).collect(), meta))
-        }
-    };
-    let Some(limit) = timeout else {
-        return catch_unwind(AssertUnwindSafe(work))
-            .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref())));
-    };
-    watchdog(limit, work)
 }
 
 /// Runs `work` on a helper thread and waits at most `limit` for its result.
@@ -779,7 +676,7 @@ impl RunReport {
 static GLOBAL: OnceLock<Mutex<Harness>> = OnceLock::new();
 
 /// Installs the process-wide harness used by [`global`] (the experiment
-/// drivers route through it, so a CLI sets `--jobs`/`--out` once here).
+/// drivers route through it, so a CLI sets `--threads`/`--out` once here).
 pub fn configure(harness: Harness) {
     *GLOBAL.get_or_init(|| Mutex::new(Harness::parallel())).lock().expect("global harness") =
         harness;

@@ -99,10 +99,17 @@ mod tests {
 
     // Sources unique to this module: the cache is process-global and cargo
     // runs test threads concurrently, so shared fixtures would make the
-    // compile-count assertions racy.
+    // compile-count assertions racy. The counter is process-global too, so
+    // the tests that compile hold this gate for their whole body.
+    static COUNT_GATE: Mutex<()> = Mutex::new(());
+
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        COUNT_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn same_spec_compiles_once_and_shares_the_image() {
+        let _gate = gate();
         let spec = ProgramSpec::source(
             "memo-unit-share",
             "int main() { print(41 + 1); return 0; }",
@@ -116,6 +123,7 @@ mod tests {
 
     #[test]
     fn failed_compile_is_poisoned_not_retried() {
+        let _gate = gate();
         let spec = ProgramSpec::source("memo-unit-broken", "int main( {");
         let before = compile_count();
         let e1 = compile_shared(&spec).expect_err("must fail");
@@ -126,6 +134,7 @@ mod tests {
 
     #[test]
     fn distinct_specs_get_distinct_entries() {
+        let _gate = gate();
         let a = compile_shared(&ProgramSpec::source(
             "memo-unit-a",
             "int main() { print(1); return 0; }",

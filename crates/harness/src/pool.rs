@@ -19,28 +19,23 @@ use crate::error::{JobError, RetryPolicy};
 /// [returns its seat](Self::worker_exited) to the spare pool, letting wide
 /// batches that are still running borrow the idle slot for their next
 /// claim. With `total <= workers` the spare pool is empty and every claim
-/// degenerates to a serial fanout of 1.
-pub struct ThreadBudget {
+/// degenerates to a fanout of 1.
+pub(crate) struct ThreadBudget {
     spare: AtomicUsize,
 }
 
 impl ThreadBudget {
     /// Budget `total` threads across `workers` job threads; whatever is
     /// left over funds intra-batch fan-out.
-    pub fn new(total: usize, workers: usize) -> Self {
+    pub(crate) fn new(total: usize, workers: usize) -> Self {
         ThreadBudget { spare: AtomicUsize::new(total.saturating_sub(workers)) }
-    }
-
-    /// A budget with no spare threads: every claim yields fanout 1.
-    pub fn serial() -> Self {
-        ThreadBudget { spare: AtomicUsize::new(0) }
     }
 
     /// Claims up to `width - 1` extra threads for a batch of `width`
     /// pipelines (the calling thread is always the first). The claim is
     /// best-effort: it takes whatever the spare pool holds, never blocks,
     /// and returns the threads when dropped.
-    pub fn claim(&self, width: usize) -> FanoutClaim<'_> {
+    pub(crate) fn claim(&self, width: usize) -> FanoutClaim<'_> {
         let want = width.saturating_sub(1);
         let taken = self
             .spare
@@ -52,19 +47,20 @@ impl ThreadBudget {
 
     /// Returns a job worker's seat to the spare pool after it drains the
     /// queue, so in-flight batches can widen their next claim.
-    pub fn worker_exited(&self) {
+    pub(crate) fn worker_exited(&self) {
         self.spare.fetch_add(1, Ordering::Release);
     }
 
-    /// Spare threads currently available to claims (test/diagnostic hook).
-    pub fn spare(&self) -> usize {
+    /// Spare threads currently available to claims.
+    #[cfg(test)]
+    fn spare(&self) -> usize {
         self.spare.load(Ordering::Acquire)
     }
 }
 
 /// RAII grant of extra timing threads from a [`ThreadBudget`]; returns
 /// them to the pool on drop.
-pub struct FanoutClaim<'a> {
+pub(crate) struct FanoutClaim<'a> {
     budget: &'a ThreadBudget,
     extra: usize,
 }
@@ -72,7 +68,7 @@ pub struct FanoutClaim<'a> {
 impl FanoutClaim<'_> {
     /// Total timing threads this batch may use: the calling thread plus
     /// every extra granted (always `>= 1`).
-    pub fn fanout(&self) -> usize {
+    pub(crate) fn fanout(&self) -> usize {
         1 + self.extra
     }
 }
@@ -252,7 +248,7 @@ mod tests {
         assert_eq!(b.fanout(), 4);
         assert_eq!(budget.spare(), 0);
 
-        // The pool is dry: further claims run serial, never negative.
+        // The pool is dry: further claims get fanout 1, never negative.
         let c = budget.claim(10);
         assert_eq!(c.fanout(), 1);
         assert_eq!(budget.spare(), 0);
@@ -266,8 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_yields_serial_fanout() {
-        let budget = ThreadBudget::serial();
+    fn exhausted_budget_yields_fanout_one() {
+        let budget = ThreadBudget::new(1, 1);
         assert_eq!(budget.claim(8).fanout(), 1);
         // A width-1 (or degenerate width-0) batch never asks for extras.
         let roomy = ThreadBudget::new(16, 1);

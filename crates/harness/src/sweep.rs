@@ -172,9 +172,8 @@ fn parse_scale(name: &str) -> Result<Scale, String> {
 /// Runs a sweep spec to completion under `harness`'s execution policy.
 ///
 /// Jobs are grouped by workload (the memo key), so each workload compiles
-/// once per process and — with lockstep enabled, the default — runs one
-/// functional stream per batch regardless of how many configurations ride
-/// it.
+/// once per process and runs one functional stream per batch regardless
+/// of how many configurations ride it.
 ///
 /// # Errors
 ///
@@ -195,9 +194,8 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
         }
         None => harness,
     };
-    // Likewise the top-level `threads` key: the spec's unified thread
-    // budget (job workers + intra-batch timing fan-out) wins for this
-    // sweep only. Results are bit-identical at any fan-out, so the
+    // Likewise the top-level `threads` key: the spec's thread count (job
+    // workers + intra-batch timing fan-out) wins for this sweep only. Results are bit-identical at any fan-out, so the
     // override never changes what the journal resumes to.
     let budgeted_harness;
     let harness = match spec.threads {

@@ -2,7 +2,7 @@
 //! injection hook: panic storms fail the same slots at every worker count,
 //! retryable faults recover within the retry budget, the watchdog turns
 //! hangs into timeouts, a diverging lockstep member is bisected out and
-//! quarantined with results bit-identical to `--no-lockstep`, and a run
+//! quarantined with survivors bit-identical to solo simulation, and a run
 //! killed mid-flight (`abort`, the in-process `kill -9`) resumes without
 //! recomputing any completed job.
 //!
@@ -15,7 +15,7 @@ use std::process::Command;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use svf_cpu::CpuConfig;
+use svf_cpu::{CpuConfig, Simulator};
 use svf_harness::{
     install_fault_plan, Experiment, Harness, JobError, JobOutcome, ProgramSpec,
 };
@@ -172,11 +172,12 @@ fn exhausted_watchdog_reports_timeout() {
 }
 
 #[test]
-fn quarantined_lockstep_batch_matches_no_lockstep_bit_for_bit() {
+fn quarantined_lockstep_batch_matches_solo_simulation_bit_for_bit() {
     // One diverging member (a zero-width machine deadlocks the pipeline)
     // among healthy sharers of one program. Lockstep bisects the batch,
     // quarantines the diverging member, and the surviving members'
-    // statistics must equal the per-job (`--no-lockstep`) run exactly.
+    // statistics must equal solo `Simulator::run` references exactly,
+    // while the diverging member panics with the same message alone.
     let build = |tag: &str| {
         let mut exp = Experiment::new(tag);
         exp.push(ProgramSpec::source("quarantine", TINY), "4-wide", CpuConfig::wide4());
@@ -190,25 +191,34 @@ fn quarantined_lockstep_batch_matches_no_lockstep_bit_for_bit() {
         exp
     };
     with_plan("", || {
-        let lockstep = Harness::parallel().with_lockstep(true).run(&build("q-lockstep"));
-        let solo = Harness::parallel().with_lockstep(false).run(&build("q-solo"));
+        let exp = build("q-lockstep");
+        let lockstep = Harness::parallel().run(&exp);
+        let program = ProgramSpec::source("quarantine", TINY).compile().expect("compiles");
         for i in [0, 1, 3] {
             let a = lockstep.jobs[i].outcome.stats().expect("lockstep survivor");
-            let b = solo.jobs[i].outcome.stats().expect("solo survivor");
-            assert_eq!(a, b, "job {i}: quarantined batch diverged from per-job run");
+            let b = Simulator::new(exp.jobs()[i].config.clone()).run(&program, u64::MAX);
+            assert_eq!(*a, b, "job {i}: quarantined batch diverged from solo simulation");
         }
-        for report in [&lockstep, &solo] {
-            match report.jobs[2].outcome.failure() {
-                Some(JobError::Panic(m)) => {
-                    assert!(m.contains("deadlock"), "real divergence classified: {m}");
-                }
-                other => panic!("diverging member must panic, got {other:?}"),
+        match lockstep.jobs[2].outcome.failure() {
+            Some(JobError::Panic(m)) => {
+                assert!(m.contains("deadlock"), "real divergence classified: {m}");
             }
+            other => panic!("diverging member must panic, got {other:?}"),
         }
+        let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Simulator::new(exp.jobs()[2].config.clone()).run(&program, u64::MAX)
+        }));
+        let payload = solo.expect_err("the diverging member panics alone too");
+        let m = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(m.contains("deadlock"), "solo divergence: {m}");
         // The member is now quarantined: re-running the same lockstep
-        // experiment keeps it on the individual path and reproduces the
-        // identical outcome (nothing poisons the healthy batch).
-        let again = Harness::parallel().with_lockstep(true).run(&build("q-lockstep-2"));
+        // experiment runs it alone and reproduces the identical outcome
+        // (nothing poisons the healthy batch).
+        let again = Harness::parallel().run(&build("q-lockstep-2"));
         for i in [0, 1, 3] {
             assert_eq!(
                 again.jobs[i].outcome.stats(),
@@ -241,14 +251,11 @@ fn threaded_lockstep_quarantines_a_panicking_pipeline_thread_like_serial() {
         exp
     };
     with_plan("", || {
-        // One job worker + a budget of 8: the 4-wide batch claims 3 extra
-        // timing threads, so the divergence fires on a fanned-out thread.
-        let threaded = Harness::parallel()
-            .with_workers(1)
-            .with_threads(8)
-            .with_lockstep(true)
-            .run(&build("mt-q-threaded"));
-        let serial = Harness::parallel().with_lockstep(true).run(&build("mt-q-serial"));
+        // One group on 8 threads is one job worker: the 4-wide batch claims
+        // 3 extra timing threads, so the divergence fires on a fanned-out
+        // thread.
+        let threaded = Harness::parallel().with_threads(8).run(&build("mt-q-threaded"));
+        let serial = Harness::serial().run(&build("mt-q-serial"));
         for i in [0, 1, 3] {
             let a = threaded.jobs[i].outcome.stats().expect("threaded survivor");
             let b = serial.jobs[i].outcome.stats().expect("serial survivor");
@@ -263,12 +270,8 @@ fn threaded_lockstep_quarantines_a_panicking_pipeline_thread_like_serial() {
             }
         }
         // The quarantine record is shared machinery: a threaded re-run
-        // keeps the member on the individual path exactly like serial.
-        let again = Harness::parallel()
-            .with_workers(1)
-            .with_threads(8)
-            .with_lockstep(true)
-            .run(&build("mt-q-threaded-2"));
+        // runs the member alone exactly like serial.
+        let again = Harness::parallel().with_threads(8).run(&build("mt-q-threaded-2"));
         for i in [0, 1, 3] {
             assert_eq!(
                 again.jobs[i].outcome.stats(),

@@ -5,7 +5,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use svf_cpu::{CpuConfig, StackEngine};
+use svf_cpu::{CpuConfig, SimStats, Simulator, StackEngine};
 use svf_harness::{Experiment, Harness, JobOutcome, ProgramSpec};
 use svf_workloads::Scale;
 
@@ -132,23 +132,47 @@ fn panicking_simulation_reports_failed() {
     }
 }
 
+/// Reference statistics: every job of `exp` simulated alone, straight
+/// through `Simulator::run` (no harness, no batching, no fan-out).
+fn solo_references(exp: &Experiment) -> Vec<SimStats> {
+    exp.jobs()
+        .iter()
+        .map(|job| {
+            let program = job.program.compile().expect("reference compiles");
+            Simulator::new(job.config.clone()).run(&program, u64::MAX)
+        })
+        .collect()
+}
+
 #[test]
 fn lockstep_and_per_job_execution_are_bit_identical() {
     // The tiny experiment is one program under four configurations — a
     // single lockstep group sharing one functional stream vs. four
-    // independent emulator runs must not differ in any counter.
+    // independent simulations must not differ in any counter.
     let exp = tiny_experiment("lockstep-identity");
-    let batched = Harness::serial().with_lockstep(true).run(&exp);
-    let solo = Harness::serial().with_lockstep(false).run(&exp);
-    for ((a, b), job) in batched.stats().iter().zip(solo.stats()).zip(exp.jobs()) {
-        assert_eq!(*a, b, "{}: lockstep changed simulated behaviour", job.key());
+    let batched = Harness::serial().run(&exp);
+    for ((a, b), job) in batched.stats().iter().zip(solo_references(&exp)).zip(exp.jobs()) {
+        assert_eq!(**a, b, "{}: lockstep changed simulated behaviour", job.key());
+    }
+}
+
+#[test]
+fn spare_threads_fan_a_single_group_out() {
+    // One program under four configurations is one group, so four threads
+    // make one job worker whose batch fans out over all four: the progress
+    // line reports the shape and every counter still equals a solo run.
+    let exp = tiny_experiment("fanout-shape");
+    let report = Harness::parallel().with_workers(4).run(&exp);
+    assert!(report.summary.contains("(1x4 jobs x fanout)"), "{}", report.summary);
+    for ((a, b), job) in report.stats().iter().zip(solo_references(&exp)).zip(exp.jobs()) {
+        assert_eq!(**a, b, "{}: fan-out changed simulated behaviour", job.key());
     }
 }
 
 #[test]
 fn diverging_config_inside_a_lockstep_group_is_isolated() {
     // A zero-width machine deadlocks the pipeline mid-batch. The group
-    // panics as a whole, falls back to per-job execution, and only the
+    // panics as a whole, is bisected down to batches of one, and only the
     // diverging configuration reports failure.
     let mut exp = Experiment::new("lockstep-isolation");
     exp.push(ProgramSpec::source("shared", TINY), "4-wide", CpuConfig::wide4());
@@ -158,7 +182,7 @@ fn diverging_config_inside_a_lockstep_group_is_isolated() {
         CpuConfig { width: 0, ..CpuConfig::wide4() },
     );
     exp.push(ProgramSpec::source("shared", TINY), "16-wide", CpuConfig::wide16());
-    let report = Harness::parallel().with_lockstep(true).run(&exp);
+    let report = Harness::parallel().run(&exp);
     assert!(report.jobs[0].outcome.stats().is_some(), "healthy sibling completes");
     assert!(report.jobs[2].outcome.stats().is_some(), "healthy sibling completes");
     match &report.jobs[1].outcome {

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Simulation-throughput benchmark runner (PR 4, extended in PR 5/6/7/9/10).
 #
-# Builds the release tree, compiles the criterion benches (compile-check
-# only — the wall-clock numbers come from the dedicated binary below), and
-# runs the `throughput` binary, which writes machine-readable rates to
-# BENCH_pr10.json (override the path with the first non-flag argument).
+# Builds the release tree and runs the `throughput` binary, which writes
+# machine-readable rates to BENCH_pr10.json (override the path with the
+# first non-flag argument).
 # PR 9 adds the sampled-vs-full pair on the longest workload: the binary
 # fails if sampled simulation falls below a 5x wall-clock speedup over
 # full detail or its IPC estimate drifts past the declared 2% bound.
@@ -29,5 +28,4 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo bench --workspace --no-run
 cargo run --release -p svf-bench --bin throughput -- "$@"

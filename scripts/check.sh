@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: release build, the complete test suite (release mode also
-# enables the timing-heavy figure-shape tests), compile-checked benchmarks,
-# a quick throughput smoke gate against the committed baseline, and
-# warning-free clippy across every target (benches included).
+# enables the timing-heavy figure-shape tests), the repository benchmark's
+# build and unit tests, a quick throughput smoke gate against the committed
+# baseline, and warning-free clippy across every target.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +14,12 @@ cargo test --workspace --release -q
 # without harness-level parallelism proves bit-identity isn't an artifact of
 # the test runner's own scheduling.
 RUST_TEST_THREADS=1 cargo test --release -q --test golden_stats
-cargo bench --workspace --no-run
+# The repository benchmark (perfbench/) is a separate Cargo workspace on
+# path deps to crates/*, built exactly the way perfbench/run.py builds it,
+# so a crate-API change that breaks the benchmark fails here rather than
+# in a benchmark run. Its Python driver's unit tests ride along.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 # Throughput smoke gate: a few quick runs per benchmark, compared against
 # the committed baseline. Quick sampling is noisy (20-30% machine-wide
 # swings on a shared box), so this catches collapses (the binary flags

@@ -171,8 +171,8 @@ fn print_sampling_errors() {
 
 /// Seeded-random interval placement is a pure function of the spec: the
 /// harness produces bit-identical sampled results no matter how many
-/// workers drain the queue, and whether jobs ride a lockstep batch or run
-/// solo.
+/// threads drain the queue, and whether jobs ride a lockstep batch or run
+/// solo through `run_sampled` with one config.
 #[test]
 fn seeded_sampling_is_deterministic_across_worker_counts_and_batching() {
     let spec = SampleSpec::parse("mode=random,seed=42,period=80k,interval=8k,warmup=4k,ramp=2k,tail=1k")
@@ -181,10 +181,9 @@ fn seeded_sampling_is_deterministic_across_worker_counts_and_batching() {
         configs().into_iter().filter(|(n, _)| ["base", "svf"].contains(n)).collect();
     let exp = svf_harness::Experiment::matrix("sampling-determinism", &two, Scale::Test);
 
-    let rows = |workers: usize, lockstep: bool| -> Vec<String> {
+    let rows = |threads: usize| -> Vec<String> {
         svf_harness::Harness::parallel()
-            .with_workers(workers)
-            .with_lockstep(lockstep)
+            .with_threads(threads)
             .with_sample(spec)
             .run(&exp)
             .stats()
@@ -192,9 +191,19 @@ fn seeded_sampling_is_deterministic_across_worker_counts_and_batching() {
             .map(|s| s.to_csv_row())
             .collect()
     };
-    let serial = rows(1, true);
-    assert_eq!(serial, rows(4, true), "worker count must not change sampled results");
-    assert_eq!(serial, rows(3, false), "solo jobs must match lockstep batches");
+    let solo: Vec<String> = exp
+        .jobs()
+        .iter()
+        .map(|job| {
+            let program = job.program.compile().expect("compiles");
+            let mut est =
+                svf_cpu::run_sampled(std::slice::from_ref(&job.config), &program, u64::MAX, &spec);
+            est.pop().expect("one config in, one estimate out").stats.to_csv_row()
+        })
+        .collect();
+    let serial = rows(1);
+    assert_eq!(serial, rows(4), "thread count must not change sampled results");
+    assert_eq!(serial, solo, "solo jobs must match lockstep batches");
 }
 
 /// A sweep spec's `[sampling]` section drives the whole sweep sampled, and
