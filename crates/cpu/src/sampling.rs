@@ -403,7 +403,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub struct SampledStats {
     /// Whole-run estimate: pooled interval statistics extrapolated to the
     /// full committed count. `stats.committed` is the *exact* functional
-    /// total (not an estimate), so downstream comparisons and journals
+    /// total (not an estimate), so downstream comparisons and stored results
     /// that key on it behave as for a full run.
     pub stats: SimStats,
     /// Exact committed instructions of the whole (functional) run.

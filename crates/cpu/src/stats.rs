@@ -199,7 +199,7 @@ impl SimStats {
     /// ([`svf_mem::scale_counter`]), except
     ///
     /// * `committed`, which is set to `total_committed` **exactly** (so
-    ///   [`SimStats::speedup_over`] and resume journals keyed on committed
+    ///   [`SimStats::speedup_over`] and resumed results keyed on committed
     ///   counts keep working), and
     /// * `ruu_occupancy_max`, a peak, which is carried through unscaled.
     ///
@@ -479,6 +479,11 @@ mod tests {
         let back = SimStats::from_csv_row(&s.to_csv_row()).expect("parses");
         assert_eq!(back, s);
         assert!(back.svf.is_none());
+        // Counters past 2^53 (where f64 stops being exact) round-trip
+        // exactly: resumed results are integers, never floats.
+        s.cycles = (1 << 53) + 1;
+        s.committed = 123_456_789_012_345_679;
+        assert_eq!(SimStats::from_csv_row(&s.to_csv_row()).expect("parses"), s);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!                wide lockstep batches borrow idle job slots). Results are
 //!                bit-identical at any T.
 //! --out DIR      per-job result sink: DIR/<experiment>/<job>.csv; jobs whose
-//!                result file exists are resumed instead of re-simulated
-//!                (sweeps also journal completed points for crash-safe resume)
+//!                result file exists with their own fingerprint (program,
+//!                config, sampling plan) are resumed instead of re-simulated
+//!                (sweeps resume through the same files)
 //! --timeout SECS per-attempt watchdog: an attempt exceeding the limit is
 //!                abandoned as a (retryable) timeout instead of hanging the run
 //! --retries N    total attempts per job for retryable failures (default 3)
@@ -27,8 +28,8 @@
 //!                SPEC is comma-separated key=value pairs: period, interval,
 //!                warmup, ramp, tail, intervals (max count), mode
 //!                (periodic|random), seed; counts accept k/m suffixes;
-//!                empty string = defaults. Composes with --sweep, --out
-//!                (use a sampled-only directory), and lockstep batching.
+//!                empty string = defaults. Composes with --sweep, --out,
+//!                and lockstep batching.
 //! --sweep SPEC   run a design-space sweep from a TOML spec (grid, random,
 //!                or greedy Pareto search — see EXPERIMENTS.md); prints the
 //!                frontier and writes points.csv/pareto.csv

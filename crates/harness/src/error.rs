@@ -12,8 +12,8 @@
 //! * **Environmental failures** can succeed on a later attempt: filesystem
 //!   hiccups ([`JobError::Io`]), a watchdog expiry ([`JobError::Timeout`] —
 //!   the box was overloaded, or the hang was transient), and a resume file
-//!   that arrived corrupt ([`JobError::CorruptResume`] — re-simulation
-//!   repairs it).
+//!   that arrived corrupt or stale ([`JobError::CorruptResume`] —
+//!   re-simulation repairs it).
 //! * **Injected failures** ([`JobError::Injected`]) come from the
 //!   `SVF_FAULT_PLAN` test hook (see [`crate::fault`]) and carry their own
 //!   retryability so tests can exercise both recovery and permanent-failure
@@ -41,9 +41,10 @@ pub enum JobError {
     /// A filesystem operation failed (storing a result, spawning a
     /// watchdog thread). Retryable.
     Io(String),
-    /// A resume file existed but did not parse. The runner treats this as
-    /// "no result" and re-simulates (which repairs the file), so this
-    /// variant surfaces only when injected or when repair itself fails.
+    /// A resume file existed but did not parse, or holds another job's
+    /// result (its fingerprint is missing or different). The runner treats
+    /// this as "no result" and re-simulates (which repairs the file), so
+    /// this variant surfaces only in the runner's warning.
     CorruptResume(String),
     /// A `.svft` trace input ended mid-record. Deterministic — the input
     /// is damaged; recapture it or replay with salvage mode.

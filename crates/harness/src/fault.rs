@@ -1,11 +1,13 @@
 //! Deterministic fault injection: the `SVF_FAULT_PLAN` hook.
 //!
-//! A fault plan is a comma-separated list of `<kind>@<job-id>` entries read
-//! from the `SVF_FAULT_PLAN` environment variable (parsed once per
-//! process). Each entry fires **exactly once**, at the first execution
-//! attempt of the job whose in-experiment id matches — job ids are
-//! deterministic (definition order), so a plan reproduces the same failure
-//! sequence on every run at any worker count.
+//! A fault plan is a comma-separated list of `<kind>@<job-id>` entries.
+//! Every harness session reads one from the `SVF_FAULT_PLAN` environment
+//! variable when it is created (a harness and its clones share it; tests
+//! set one per harness with `Harness::with_fault_plan`). Each entry fires
+//! **exactly once** per session, at the first execution attempt of the job
+//! whose in-experiment id matches — job ids are deterministic (definition
+//! order), so a plan reproduces the same failure sequence on every run at
+//! any worker count.
 //!
 //! | entry | effect | classified as |
 //! |---|---|---|
@@ -19,10 +21,10 @@
 //! through the full watchdog / retry / classification machinery rather
 //! than poisoning a shared batch.
 //!
-//! The hook costs one relaxed atomic load per job when no fault is armed.
+//! The hook costs two short mutex locks per job (a peek when the job is
+//! scheduled, a lookup when it runs).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::error::JobError;
@@ -40,15 +42,6 @@ enum Kind {
     Trunc,
     Abort,
 }
-
-/// Remaining (job id, fault) entries; firing removes the entry. First
-/// initialization parses `SVF_FAULT_PLAN`; [`install_fault_plan`] replaces
-/// the entries wholesale.
-static PLAN: OnceLock<Mutex<Vec<(usize, Kind)>>> = OnceLock::new();
-
-/// Count of not-yet-fired entries, mirrored out of the mutex so the per-job
-/// hook is one relaxed load when no fault is armed (the common case).
-static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 fn parse_entry(entry: &str) -> Result<(usize, Kind), String> {
     let (kind, at) = entry
@@ -84,73 +77,70 @@ fn parse_plan(text: &str) -> Result<Vec<(usize, Kind)>, String> {
         .collect()
 }
 
-fn entries() -> &'static Mutex<Vec<(usize, Kind)>> {
-    PLAN.get_or_init(|| {
+/// A session's fault plan: the remaining (job id, fault) entries; firing
+/// removes the entry.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    entries: Mutex<Vec<(usize, Kind)>>,
+}
+
+impl Plan {
+    /// The plan in `SVF_FAULT_PLAN` (empty when unset).
+    ///
+    /// # Panics
+    ///
+    /// On a malformed plan: a silently ignored fault plan would make a test
+    /// vacuously green, so a bad plan must fail the run loudly.
+    pub(crate) fn from_env() -> Plan {
         let text = std::env::var("SVF_FAULT_PLAN").unwrap_or_default();
-        let entries = parse_plan(&text)
-            // A silently ignored fault plan would make a test vacuously
-            // green — a bad plan must fail the run loudly.
-            .unwrap_or_else(|e| panic!("SVF_FAULT_PLAN: {e}"));
-        ARMED.store(entries.len(), Ordering::Relaxed);
-        Mutex::new(entries)
-    })
-}
-
-/// Installs a fault plan directly, bypassing the environment — the test
-/// seam (tests within one binary cannot re-arm via the environment, which
-/// is read once). Replaces any previous plan; install `""` to disarm.
-/// Callers that share a process must serialize installs around the runs
-/// that consume them.
-#[doc(hidden)]
-pub fn install_fault_plan(text: &str) {
-    let parsed = parse_plan(text).unwrap_or_else(|e| panic!("install_fault_plan: {e}"));
-    let mut entries = entries().lock().expect("fault plan");
-    ARMED.store(parsed.len(), Ordering::Relaxed);
-    *entries = parsed;
-}
-
-/// Whether any not-yet-fired fault targets job `id` (peek, no consumption).
-/// The scheduler uses this to keep faulty jobs out of lockstep batches.
-pub(crate) fn planned(id: usize) -> bool {
-    // The fast path is only sound once the env has been parsed (which sets
-    // ARMED); before that, fall through to `entries()` to initialize.
-    if PLAN.get().is_some() && ARMED.load(Ordering::Relaxed) == 0 {
-        return false;
+        let entries = parse_plan(&text).unwrap_or_else(|e| panic!("SVF_FAULT_PLAN: {e}"));
+        Plan { entries: Mutex::new(entries) }
     }
-    entries().lock().expect("fault plan").iter().any(|&(i, _)| i == id)
-}
 
-/// Fires (and consumes) the fault planned for job `id`, if any: panics,
-/// aborts, sleeps, or returns the planned error. A clean `Ok(())` means no
-/// fault was planned or it already fired.
-///
-/// # Errors
-///
-/// The planned [`JobError`] for `io`/`trunc` entries.
-pub(crate) fn fire(id: usize) -> Result<(), JobError> {
-    if PLAN.get().is_some() && ARMED.load(Ordering::Relaxed) == 0 {
-        return Ok(());
+    /// Replaces every remaining entry with the plan `text`; `""` disarms.
+    ///
+    /// # Panics
+    ///
+    /// On a malformed plan, like [`Plan::from_env`].
+    pub(crate) fn install(&self, text: &str) {
+        let parsed = parse_plan(text).unwrap_or_else(|e| panic!("fault plan {text:?}: {e}"));
+        *self.entries.lock().expect("fault plan") = parsed;
     }
-    let kind = {
-        let mut entries = entries().lock().expect("fault plan");
-        let Some(pos) = entries.iter().position(|&(i, _)| i == id) else { return Ok(()) };
-        let kind = entries.remove(pos).1;
-        ARMED.store(entries.len(), Ordering::Relaxed);
-        kind
-    };
-    match kind {
-        Kind::Panic => panic!("{MARKER} planned panic at job {id}"),
-        Kind::Io => Err(JobError::Io(format!("{MARKER} planned I/O fault at job {id}"))),
-        Kind::Hang(ms) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            Ok(())
-        }
-        Kind::Trunc => Err(JobError::TraceTruncated(format!(
-            "{MARKER} planned truncated-trace fault at job {id}"
-        ))),
-        Kind::Abort => {
-            eprintln!("{MARKER} planned abort at job {id}");
-            std::process::abort()
+
+    /// Whether any not-yet-fired fault targets job `id` (peek, no
+    /// consumption). The scheduler uses this to keep faulty jobs out of
+    /// lockstep batches.
+    pub(crate) fn planned(&self, id: usize) -> bool {
+        self.entries.lock().expect("fault plan").iter().any(|&(i, _)| i == id)
+    }
+
+    /// Fires (and consumes) the fault planned for job `id`, if any: panics,
+    /// aborts, sleeps, or returns the planned error. A clean `Ok(())` means
+    /// no fault was planned or it already fired.
+    ///
+    /// # Errors
+    ///
+    /// The planned [`JobError`] for `io`/`trunc` entries.
+    pub(crate) fn fire(&self, id: usize) -> Result<(), JobError> {
+        let kind = {
+            let mut entries = self.entries.lock().expect("fault plan");
+            let Some(pos) = entries.iter().position(|&(i, _)| i == id) else { return Ok(()) };
+            entries.remove(pos).1
+        };
+        match kind {
+            Kind::Panic => panic!("{MARKER} planned panic at job {id}"),
+            Kind::Io => Err(JobError::Io(format!("{MARKER} planned I/O fault at job {id}"))),
+            Kind::Hang(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(())
+            }
+            Kind::Trunc => Err(JobError::TraceTruncated(format!(
+                "{MARKER} planned truncated-trace fault at job {id}"
+            ))),
+            Kind::Abort => {
+                eprintln!("{MARKER} planned abort at job {id}");
+                std::process::abort()
+            }
         }
     }
 }
@@ -158,9 +148,6 @@ pub(crate) fn fire(id: usize) -> Result<(), JobError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // These tests only exercise the parser — installing a live plan would
-    // race with every other test in this binary that executes jobs.
 
     #[test]
     fn plans_parse() {

@@ -1,21 +1,24 @@
 //! The unit of orchestrated work: one `(program, configuration)` timing
 //! simulation, and what came out of it.
 
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
-use svf_cpu::{CpuConfig, SimStats};
+use svf_cpu::{CpuConfig, SampleSpec, SimStats};
 use svf_isa::Program;
 use svf_workloads::{workload, Scale};
 
 use crate::error::JobError;
+use crate::memo;
 
-/// How a job obtains its program. Compilation is **memoized process-wide**
-/// (see [`crate::compile_count`]): the first job to need a spec compiles it
-/// on its worker thread and every other job sharing that spec — across
-/// configurations, workers, and experiments — reuses the same
-/// `Arc<Program>`. A failing or panicking compilation poisons only that
-/// spec's cache entry: every sharing job fails with the same message, and
-/// unrelated jobs are untouched, exactly like a diverging simulation.
+/// How a job obtains its program. Compilation is **memoized per harness
+/// session** (see [`crate::RunReport::compiles`]): the first job to need a
+/// spec compiles it on its worker thread and every other job sharing that
+/// spec — across configurations, workers, and the experiments one harness
+/// and its clones run — reuses the same `Arc<Program>`. A failing or
+/// panicking compilation poisons only that spec's cache entry: every
+/// sharing job fails with the same message, and unrelated jobs are
+/// untouched, exactly like a diverging simulation.
 #[derive(Debug, Clone)]
 pub enum ProgramSpec {
     /// A registered benchmark kernel, optionally with a named input
@@ -77,8 +80,8 @@ impl ProgramSpec {
     }
 
     /// Compiles the program this spec describes, unconditionally (no
-    /// memoization — the harness goes through the process-global cache
-    /// instead; use this for one-off compiles that must not be retained).
+    /// memoization — the harness goes through its session's cache instead;
+    /// use this for one-off compiles that must not be retained).
     ///
     /// # Errors
     ///
@@ -129,6 +132,32 @@ impl Job {
     #[must_use]
     pub fn key(&self) -> String {
         format!("{:04}-{}-{}", self.id, slug(&self.program.label()), slug(&self.config_label))
+    }
+
+    /// What this job simulates, independent of its id and labels: FNV-1a 64
+    /// over the `Debug` forms of the program's identity, the configuration
+    /// and the sampling plan. The one definition of "same job": the result
+    /// store resumes a file only under its job's fingerprint, and the
+    /// lockstep quarantine is keyed on it. Stable across processes and
+    /// builds of the same source (no randomly seeded hasher).
+    pub(crate) fn fingerprint(&self, sample: Option<&SampleSpec>) -> u64 {
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(fnv, "{:?}", (memo::key(&self.program), &self.config, sample))
+            .expect("hashing cannot fail");
+        fnv.0
+    }
+}
+
+/// FNV-1a 64 fed through `fmt::Write`, so a `Debug` form hashes without
+/// being collected into a string first.
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 
@@ -225,6 +254,29 @@ mod tests {
             config: CpuConfig::wide4(),
         };
         assert_eq!(job.key(), "0007-gcc-base-2-0");
+    }
+
+    #[test]
+    fn fingerprints_track_what_is_simulated_not_labels() {
+        let job = Job {
+            id: 7,
+            program: ProgramSpec::workload("gcc", Scale::Test),
+            config_label: "base".to_string(),
+            config: CpuConfig::wide4(),
+        };
+        let fp = job.fingerprint(None);
+        let relabelled = Job { id: 3, config_label: "other".to_string(), ..job.clone() };
+        assert_eq!(relabelled.fingerprint(None), fp, "ids and labels are not identity");
+        let wider = Job { config: CpuConfig::wide8(), ..job.clone() };
+        assert_ne!(wider.fingerprint(None), fp, "the configuration is");
+        let program = ProgramSpec::workload_input("gcc", "x", Scale::Test);
+        let input = Job { program, ..job.clone() };
+        assert_ne!(input.fingerprint(None), fp, "the program is");
+        let spec = SampleSpec::parse("").expect("default plan");
+        assert_ne!(job.fingerprint(Some(&spec)), fp, "the sampling plan is");
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        fnv.write_str("a").expect("hash");
+        assert_eq!(fnv.0, 0xaf63_dc4c_8601_ec8c, "FNV-1a 64 reference value for \"a\"");
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!    the groups across `std::thread` workers fed by a shared queue. Its
 //!    one thread count (see [`Harness::with_threads`]) caps the workers at
 //!    one per group and funds intra-batch timing fan-out with the rest.
-//!    Program compilation is **memoized process-wide**: the first group
-//!    needing a [`ProgramSpec`] compiles it, every other sharer reuses the
-//!    same `Arc<Program>` — a C-config × W-workload matrix performs W
-//!    compilations, not C·W (see [`compile_count`]). The *functional
+//!    Program compilation is **memoized per session** — a harness, its
+//!    clones and every run they make share one compile cache: the first
+//!    group needing a [`ProgramSpec`] compiles it, every other sharer
+//!    reuses the same `Arc<Program>` — a C-config × W-workload matrix
+//!    performs W compilations, not C·W (see [`RunReport::compiles`]). A
+//!    harness owns all of its run state; no process-global cache couples
+//!    one harness to another. The *functional
 //!    execution* is shared the same way: a group's jobs run as one
 //!    **lockstep batch** over [`svf_cpu::run_lockstep_fanout`], so the
 //!    emulator runs once per program instead of once per job, with
@@ -28,13 +31,17 @@
 //!    deterministic).
 //! 4. **Sinks & resume** — with an output directory configured, each job's
 //!    [`SimStats`](svf_cpu::SimStats) is written to
-//!    `<out>/<experiment>/<job-key>.csv` (atomically — temp file + rename),
-//!    and jobs whose result file already exists are *resumed* (loaded, not
-//!    re-simulated). Interrupted long runs — including runs killed
+//!    `<out>/<experiment>/<job-key>.csv` (atomically — temp file + rename)
+//!    the moment its batch finishes, closed by a fingerprint of what was
+//!    simulated (program, configuration, sampling plan). Jobs whose result
+//!    file exists under their own fingerprint are *resumed* (loaded, not
+//!    re-simulated). This one store is the resume protocol for experiments
+//!    and sweeps alike: interrupted long runs — including runs killed
 //!    mid-flight — pick up where they stopped; delete the directory to
-//!    force a clean rerun. A result file that exists but is damaged is
-//!    reported ([`JobError::CorruptResume`]) and the job re-runs, which
-//!    repairs the file.
+//!    force a clean rerun. A result file that is damaged, or stale (a
+//!    different fingerprint under the same job key), is reported
+//!    ([`JobError::CorruptResume`]) and the job re-runs, which repairs the
+//!    file.
 //! 5. **Fault tolerance** — every failure is classified as a [`JobError`]
 //!    with principled retryability, and the [`RetryPolicy`] (see
 //!    [`Harness::with_retries`] / [`Harness::with_timeout`]) bounds how
@@ -43,12 +50,13 @@
 //!    as [`JobError::Timeout`]. A batch that panics or hangs is
 //!    **bisected**: the batch splits in half recursively until the
 //!    offending job runs alone, and only such one-job batches retry. A job
-//!    whose final failure is a panic or hang is *quarantined*
-//!    (process-globally, by program + configuration) so later runs in the
-//!    process run it alone — survivors keep sharing streams. The
-//!    deterministic `SVF_FAULT_PLAN` hook (see [`crate::fault`] via
-//!    [`install_fault_plan`]) injects panics, I/O errors, hangs, truncated
-//!    traces, and process aborts at chosen job ids to test all of this.
+//!    whose final failure is a panic or hang is *quarantined* in the
+//!    harness's session (by the job's fingerprint) so later runs of that
+//!    harness and its clones run it alone — survivors keep sharing streams.
+//!    The deterministic `SVF_FAULT_PLAN` hook (see [`crate::fault`]), read
+//!    when a harness is created, injects panics, I/O errors, hangs,
+//!    truncated traces, and process aborts at chosen job ids to test all of
+//!    this.
 //!
 //! 6. **Sampled simulation** — [`Harness::with_sample`] switches every
 //!    batch to [`svf_cpu::run_sampled_fanout`]: the program runs
@@ -96,7 +104,7 @@ pub mod sweep;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
@@ -107,12 +115,11 @@ use svf_isa::Program;
 
 pub use error::{JobError, RetryPolicy};
 pub use experiment::Experiment;
-pub use fault::install_fault_plan;
 pub use job::{Job, JobOutcome, JobReport, ProgramSpec};
 pub use memo::compile_count;
 pub use pool::{parallel_map, parallel_map_with};
 use pool::ThreadBudget;
-pub use sink::{atomic_write, RunDir};
+use sink::RunDir;
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 
 use progress::Progress;
@@ -120,7 +127,8 @@ use progress::Progress;
 /// Execution policy: how many threads the run may occupy, where results
 /// go, whether to narrate, how hard to retry, and whether simulations run
 /// sampled (detailed intervals over a functional fast-forward) instead of
-/// fully detailed.
+/// fully detailed. A harness also owns its run state (compile cache,
+/// quarantine, fault plan), which its clones share.
 #[derive(Debug, Clone)]
 pub struct Harness {
     threads: usize,
@@ -128,6 +136,17 @@ pub struct Harness {
     progress: bool,
     policy: RetryPolicy,
     sample: Option<SampleSpec>,
+    session: Arc<Session>,
+}
+
+/// The run state one harness and its clones share across runs: the compile
+/// cache, the lockstep quarantine (fingerprints of jobs whose final failure
+/// was a divergence or hang), and the fault plan.
+#[derive(Debug)]
+struct Session {
+    memo: memo::Memo,
+    quarantine: Mutex<HashSet<u64>>,
+    faults: fault::Plan,
 }
 
 impl Default for Harness {
@@ -137,7 +156,14 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// One thread per available hardware thread, no result sink, quiet.
+    /// One thread per available hardware thread, no result sink, quiet, and
+    /// a fresh session: an empty compile cache and quarantine, and the
+    /// fault plan in `SVF_FAULT_PLAN` (none when unset).
+    ///
+    /// # Panics
+    ///
+    /// If `SVF_FAULT_PLAN` is malformed — a silently ignored plan would
+    /// make a fault test vacuously green.
     #[must_use]
     pub fn parallel() -> Harness {
         Harness {
@@ -146,6 +172,11 @@ impl Harness {
             progress: false,
             policy: RetryPolicy::default(),
             sample: None,
+            session: Arc::new(Session {
+                memo: memo::Memo::default(),
+                quarantine: Mutex::default(),
+                faults: fault::Plan::from_env(),
+            }),
         }
     }
 
@@ -225,20 +256,14 @@ impl Harness {
     /// cost only inside the plan's measured intervals, and reports the
     /// stratified whole-run estimate as its [`SimStats`]. Composes with
     /// lockstep batching (the whole batch shares one sampled stream),
-    /// retries, fault injection, and sweeps. The result-file format is
-    /// unchanged, so sampled runs are resumable too — but point a sampled
-    /// run at its *own* `--out` directory: the sink cannot tell an
-    /// extrapolated result from an exact one.
+    /// retries, fault injection, and sweeps. The plan is part of every
+    /// job's fingerprint, so sampled runs resume only sampled results of
+    /// the same plan, and a full-detail result is never resumed as a
+    /// sampled one (or the reverse).
     #[must_use]
     pub fn with_sample(mut self, spec: SampleSpec) -> Harness {
         self.sample = Some(spec);
         self
-    }
-
-    /// The active sampling plan, if any.
-    #[must_use]
-    pub fn sample(&self) -> Option<&SampleSpec> {
-        self.sample.as_ref()
     }
 
     /// The configured thread count: the most job workers a run spawns, and
@@ -248,17 +273,19 @@ impl Harness {
         self.threads
     }
 
-    /// The configured result-sink root, if any. Sweep drivers anchor their
-    /// crash-safe point journal next to it.
+    /// Replaces the session's fault plan (shared with this harness's
+    /// clones) with `plan`, in `SVF_FAULT_PLAN` syntax; `""` disarms. The
+    /// test seam: a plan set here fires only in runs of this harness and
+    /// its clones, never in another harness running at the same time.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` is malformed.
+    #[doc(hidden)]
     #[must_use]
-    pub fn out_dir(&self) -> Option<&Path> {
-        self.out_dir.as_deref()
-    }
-
-    /// The active retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
+    pub fn with_fault_plan(self, plan: &str) -> Harness {
+        self.session.faults.install(plan);
+        self
     }
 
     /// Runs every job of `exp` and reassembles the reports in job-id order.
@@ -270,6 +297,7 @@ impl Harness {
     #[must_use]
     pub fn run(&self, exp: &Experiment) -> RunReport {
         let started = Instant::now();
+        let compiles = self.session.memo.compiles();
         let sink = self.out_dir.as_deref().map(|root| {
             RunDir::create(root, &exp.name)
                 .unwrap_or_else(|e| panic!("cannot create run dir under {}: {e}", root.display()))
@@ -293,6 +321,7 @@ impl Harness {
             policy: &self.policy,
             sample: self.sample.as_ref(),
             budget: &budget,
+            session: &self.session,
         };
         thread::scope(|scope| {
             for _ in 0..workers {
@@ -316,6 +345,7 @@ impl Harness {
                 .map(|s| s.into_inner().expect("report slot").expect("every job visited"))
                 .collect(),
             wall: started.elapsed(),
+            compiles: self.session.memo.compiles() - compiles,
             summary,
         }
     }
@@ -338,8 +368,8 @@ fn group_jobs(jobs: &[Job]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// What every batch of one run shares: the job list and the run's policy,
-/// sink, progress line and thread budget.
+/// What every batch of one run shares: the job list, the run's policy,
+/// sink, progress line and thread budget, and the harness's session.
 struct RunCtx<'a> {
     jobs: &'a [Job],
     sink: Option<&'a RunDir>,
@@ -347,13 +377,25 @@ struct RunCtx<'a> {
     policy: &'a RetryPolicy,
     sample: Option<&'a SampleSpec>,
     budget: &'a ThreadBudget,
+    session: &'a Arc<Session>,
+}
+
+impl RunCtx<'_> {
+    /// Job `i`'s [`Job::fingerprint`] under this run's sampling plan.
+    fn fingerprint(&self, i: usize) -> u64 {
+        self.jobs[i].fingerprint(self.sample)
+    }
+
+    fn quarantined(&self, i: usize) -> bool {
+        self.session.quarantine.lock().expect("quarantine").contains(&self.fingerprint(i))
+    }
 }
 
 /// Executes one scheduling group: resumes what the sink already holds
-/// (re-running anything the sink reports as corrupt), compiles the program
-/// once (memoized) if anything is left, and runs the fresh jobs as batches
-/// through [`run_batch`]. Quarantined and fault-planned jobs run as batches
-/// of one, so their failure takes the per-job retry path instead of
+/// (re-running anything the sink reports as corrupt or stale), compiles
+/// the program once (memoized) if anything is left, and runs the fresh
+/// jobs as batches through [`run_batch`]. Quarantined and fault-planned
+/// jobs run as batches of one, so their failure takes the per-job retry path instead of
 /// poisoning a shared batch; the healthy rest rides one batch. Batches run
 /// in order of their first job id, so a run killed mid-group (a planned
 /// `abort`) leaves a reproducible set of stored results.
@@ -370,7 +412,7 @@ fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>
     };
     let mut fresh: Vec<usize> = Vec::new();
     for &i in idxs {
-        match ctx.sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
+        match ctx.sink.map_or(Ok(None), |s| s.load_classified(&jobs[i], ctx.fingerprint(i))) {
             Ok(Some(stats)) => {
                 deliver(i, report_for(&jobs[i], JobOutcome::Resumed(stats), Duration::ZERO));
             }
@@ -384,7 +426,7 @@ fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>
         }
     }
     let Some(&first) = fresh.first() else { return };
-    let program = match memo::compile_shared(&jobs[first].program) {
+    let program = match ctx.session.memo.compile(&jobs[first].program) {
         Ok(p) => p,
         // Compilation failed: every sharer fails with one message.
         Err(e) => {
@@ -394,8 +436,9 @@ fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>
             return;
         }
     };
-    let (solo, shared): (Vec<usize>, Vec<usize>) =
-        fresh.into_iter().partition(|&i| fault::planned(jobs[i].id) || quarantined(&jobs[i]));
+    let (solo, shared): (Vec<usize>, Vec<usize>) = fresh
+        .into_iter()
+        .partition(|&i| ctx.session.faults.planned(jobs[i].id) || ctx.quarantined(i));
     let mut batches: Vec<Vec<usize>> = solo.into_iter().map(|i| vec![i]).collect();
     if !shared.is_empty() {
         batches.push(shared);
@@ -408,7 +451,7 @@ fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>
         for (i, result) in results {
             let outcome = match result {
                 Ok(stats) => {
-                    store_with_retry(ctx.sink, &jobs[i], &stats, ctx.policy);
+                    store_with_retry(ctx, i, &stats);
                     JobOutcome::Completed(stats)
                 }
                 Err(e) => JobOutcome::Failed(e),
@@ -425,7 +468,7 @@ fn run_group(ctx: &RunCtx<'_>, idxs: &[usize], slots: &[Mutex<Option<JobReport>>
 /// configuration costs `O(log n)` re-batches. A one-member batch is a
 /// leaf: retryable failures re-attempt with backoff until the policy's
 /// attempt budget runs out, and a *final* divergence or hang quarantines
-/// the job so it never rides a shared batch again this process.
+/// the job so it never rides a shared batch again in this session.
 fn run_batch(
     ctx: &RunCtx<'_>,
     program: &Arc<Program>,
@@ -450,16 +493,16 @@ fn run_batch(
             continue;
         }
         if matches!(e, JobError::Panic(_) | JobError::Timeout { .. }) {
-            quarantine(&ctx.jobs[i]);
+            ctx.session.quarantine.lock().expect("quarantine").insert(ctx.fingerprint(i));
         }
         return vec![(i, Err(e))];
     }
 }
 
 /// One attempt at a batch, panic-caught, under the watchdog if the policy
-/// sets one (scaled by width: N jobs ride one stream). A planned
-/// `SVF_FAULT_PLAN` fault fires inside the attempt, so injected failures
-/// traverse exactly the machinery a real one would. With a sampling plan
+/// sets one (scaled by width: N jobs ride one stream). A fault the
+/// session's plan holds for a member fires inside the attempt, so injected
+/// failures traverse exactly the machinery a real one would. With a sampling plan
 /// the batch rides one sampled stream ([`svf_cpu::run_sampled_fanout`]).
 /// The batch borrows spare budget threads for the attempt and returns them
 /// before any retry or bisection; a panic on any timing thread surfaces
@@ -476,9 +519,10 @@ fn attempt_batch(
     let configs: Vec<CpuConfig> = members.iter().map(|&i| ctx.jobs[i].config.clone()).collect();
     let program = Arc::clone(program);
     let sample = ctx.sample.copied();
+    let session = Arc::clone(ctx.session);
     let work = move || {
         for id in ids {
-            fault::fire(id)?;
+            session.faults.fire(id)?;
         }
         Ok(match &sample {
             None => (svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None),
@@ -548,48 +592,25 @@ fn watchdog<R: Send + 'static>(
     }
 }
 
-/// Stores one result, retrying transient filesystem failures under the
-/// job's own policy. A store that still fails only costs resumability (the
+/// Stores job `i`'s result, retrying transient filesystem failures under
+/// the run's policy. A store that still fails only costs resumability (the
 /// job re-runs next time), so it warns rather than failing the job.
-fn store_with_retry(sink: Option<&RunDir>, job: &Job, stats: &SimStats, policy: &RetryPolicy) {
-    let Some(sink) = sink else { return };
+fn store_with_retry(ctx: &RunCtx<'_>, i: usize, stats: &SimStats) {
+    let Some(sink) = ctx.sink else { return };
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        match sink.store(job, stats) {
+        match sink.store(&ctx.jobs[i], stats, ctx.fingerprint(i)) {
             Ok(()) => return,
-            Err(_) if attempt < policy.attempts.max(1) => {
-                thread::sleep(policy.backoff_before(attempt + 1));
+            Err(_) if attempt < ctx.policy.attempts.max(1) => {
+                thread::sleep(ctx.policy.backoff_before(attempt + 1));
             }
             Err(e) => {
-                eprintln!("svf-harness: cannot store {}: {e}", job.key());
+                eprintln!("svf-harness: cannot store {}: {e}", ctx.jobs[i].key());
                 return;
             }
         }
     }
-}
-
-/// The lockstep quarantine: `(program, configuration)` pairs whose job
-/// diverged or hung. Process-global for the same reason the memo cache is —
-/// a later run in this process must not re-batch a known-bad member.
-static QUARANTINE: OnceLock<Mutex<HashSet<(memo::Key, String)>>> = OnceLock::new();
-
-fn quarantine_key(job: &Job) -> (memo::Key, String) {
-    (memo::key(&job.program), format!("{:?}", job.config))
-}
-
-fn quarantined(job: &Job) -> bool {
-    QUARANTINE
-        .get()
-        .is_some_and(|q| q.lock().expect("quarantine").contains(&quarantine_key(job)))
-}
-
-fn quarantine(job: &Job) {
-    QUARANTINE
-        .get_or_init(Mutex::default)
-        .lock()
-        .expect("quarantine")
-        .insert(quarantine_key(job));
 }
 
 /// Everything one [`Harness::run`] produced, in job-id order.
@@ -601,6 +622,9 @@ pub struct RunReport {
     pub jobs: Vec<JobReport>,
     /// Total wall-clock time of the run.
     pub wall: Duration,
+    /// Program compilations this run performed in its harness's session
+    /// (programs the session had already compiled cost none).
+    pub compiles: u64,
     /// The final throughput summary line (also printed when progress is on).
     pub summary: String,
 }
@@ -683,7 +707,9 @@ pub fn configure(harness: Harness) {
 }
 
 /// The process-wide harness: whatever [`configure`] installed, or the
-/// default parallel, sink-less, quiet policy.
+/// default parallel, sink-less, quiet policy. Every clone it hands out
+/// shares that harness's session, so the drivers of one CLI invocation
+/// share one compile cache, quarantine and fault plan.
 #[must_use]
 pub fn global() -> Harness {
     GLOBAL.get_or_init(|| Mutex::new(Harness::parallel())).lock().expect("global harness").clone()

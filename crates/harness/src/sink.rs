@@ -1,10 +1,15 @@
-//! Structured result sink: one CSV file per job under `runs/<name>/`.
+//! The result store: one CSV file per job under `<out>/<experiment>/`.
 //!
-//! The file layout is the resume protocol. A job whose result file exists
-//! and parses is not re-simulated; deleting the experiment's directory (or
-//! a single file) forces a rerun. Files are written via a temp-file rename
-//! so a killed run never leaves a truncated file that would later resume as
-//! a bogus result.
+//! The file layout is the resume protocol. A result file holds the
+//! `SimStats` CSV header, the job's data row, and a last
+//! `fingerprint,<16 hex>` line naming what was simulated (see
+//! [`Job::fingerprint`]). A job whose file exists, parses and carries the
+//! job's own fingerprint is not re-simulated; a file from a different
+//! program, configuration or sampling plan — a stale result under a reused
+//! job key — is reported as corrupt and the job re-runs, which repairs the
+//! file. Deleting the experiment's directory (or a single file) forces a
+//! rerun. Files are written via a temp-file rename so a killed run never
+//! leaves a truncated file that would later resume as a bogus result.
 
 use std::fs;
 use std::io;
@@ -23,7 +28,7 @@ use crate::job::Job;
 /// # Errors
 ///
 /// Propagates filesystem errors; the temp file is removed on failure.
-pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     let mut ext = path.extension().unwrap_or_default().to_os_string();
     ext.push(".tmp");
     let tmp = path.with_extension(ext);
@@ -35,7 +40,7 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
 
 /// The per-experiment result directory.
 #[derive(Debug, Clone)]
-pub struct RunDir {
+pub(crate) struct RunDir {
     dir: PathBuf,
 }
 
@@ -45,41 +50,31 @@ impl RunDir {
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn create(root: &Path, experiment: &str) -> io::Result<RunDir> {
+    pub(crate) fn create(root: &Path, experiment: &str) -> io::Result<RunDir> {
         let dir = root.join(experiment);
         fs::create_dir_all(&dir)?;
         Ok(RunDir { dir })
     }
 
-    /// The directory results live in.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
     /// The result file for one job.
-    #[must_use]
-    pub fn job_path(&self, job: &Job) -> PathBuf {
+    fn job_path(&self, job: &Job) -> PathBuf {
         self.dir.join(format!("{}.csv", job.key()))
     }
 
-    /// Loads a previously stored result, if one exists and is intact.
-    /// Header mismatches (schema drift) and parse failures are treated as
-    /// "no result" so the job transparently re-runs.
-    #[must_use]
-    pub fn load(&self, job: &Job) -> Option<SimStats> {
-        self.load_classified(job).ok().flatten()
-    }
-
-    /// [`RunDir::load`] with the failure modes kept apart: `Ok(None)` means
-    /// no result file exists (fresh job), `Err(CorruptResume)` means a file
-    /// exists but is damaged or stale (the runner logs it, then re-runs the
-    /// job — which repairs the file).
+    /// Loads a previously stored result. `Ok(None)` means no result file
+    /// exists (fresh job); `Err(CorruptResume)` means a file exists but is
+    /// damaged, or stale — its fingerprint is missing or is not
+    /// `fingerprint` (the runner logs it, then re-runs the job, which
+    /// repairs the file).
     ///
     /// # Errors
     ///
     /// [`JobError::CorruptResume`] naming the file and what was wrong.
-    pub fn load_classified(&self, job: &Job) -> Result<Option<SimStats>, JobError> {
+    pub(crate) fn load_classified(
+        &self,
+        job: &Job,
+        fingerprint: u64,
+    ) -> Result<Option<SimStats>, JobError> {
         let path = self.job_path(job);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
@@ -97,22 +92,38 @@ impl RunDir {
             _ => return Err(corrupt("header mismatch (schema drift or truncation)")),
         }
         let row = lines.next().ok_or_else(|| corrupt("missing data row"))?;
-        SimStats::from_csv_row(row)
-            .map(Some)
-            .map_err(|e| corrupt(&format!("unparsable data row: {e}")))
+        let stats =
+            SimStats::from_csv_row(row).map_err(|e| corrupt(&format!("unparsable data row: {e}")))?;
+        if lines.next() != Some(fingerprint_line(fingerprint).as_str()) {
+            return Err(corrupt(
+                "fingerprint missing or different (stale result of another program, \
+                 configuration or sampling plan)",
+            ));
+        }
+        Ok(Some(stats))
     }
 
-    /// Stores one job's result (header line + data row) atomically.
+    /// Stores one job's result (header line, data row, fingerprint line)
+    /// atomically.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn store(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
+    pub(crate) fn store(&self, job: &Job, stats: &SimStats, fingerprint: u64) -> io::Result<()> {
         atomic_write(
             &self.job_path(job),
-            &format!("{}\n{}\n", SimStats::csv_header(), stats.to_csv_row()),
+            &format!(
+                "{}\n{}\n{}\n",
+                SimStats::csv_header(),
+                stats.to_csv_row(),
+                fingerprint_line(fingerprint)
+            ),
         )
     }
+}
+
+fn fingerprint_line(fingerprint: u64) -> String {
+    format!("fingerprint,{fingerprint:016x}")
 }
 
 #[cfg(test)]
@@ -140,11 +151,12 @@ mod tests {
         let root = tmp_root("roundtrip");
         let dir = RunDir::create(&root, "demo").expect("create");
         let job = demo_job();
-        assert!(dir.load(&job).is_none(), "empty dir has no result");
+        assert_eq!(dir.load_classified(&job, 7), Ok(None), "empty dir has no result");
         let stats = SimStats { cycles: 42, committed: 99, ..SimStats::default() };
-        dir.store(&job, &stats).expect("store");
-        let back = dir.load(&job).expect("load");
-        assert_eq!(back, stats);
+        dir.store(&job, &stats, 7).expect("store");
+        assert_eq!(dir.load_classified(&job, 7), Ok(Some(stats)));
+        let text = fs::read_to_string(dir.job_path(&job)).expect("read");
+        assert_eq!(text.lines().nth(2), Some("fingerprint,0000000000000007"), "{text}");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -153,24 +165,22 @@ mod tests {
         let root = tmp_root("corrupt");
         let dir = RunDir::create(&root, "demo").expect("create");
         let job = demo_job();
+        let refused = |why: &str| {
+            let err = dir.load_classified(&job, 7).expect_err(why);
+            assert!(matches!(err, JobError::CorruptResume(_)), "{why}: {err:?}");
+            err.to_string()
+        };
         fs::write(dir.job_path(&job), "garbage\n1,2,3\n").expect("write");
-        assert!(dir.load(&job).is_none(), "wrong header must not resume");
+        assert!(refused("wrong header").contains("header mismatch"));
         fs::write(dir.job_path(&job), format!("{}\nnot,numbers\n", SimStats::csv_header()))
             .expect("write");
-        assert!(dir.load(&job).is_none(), "unparsable row must not resume");
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn classified_load_separates_fresh_from_corrupt() {
-        let root = tmp_root("classified");
-        let dir = RunDir::create(&root, "demo").expect("create");
-        let job = demo_job();
-        assert_eq!(dir.load_classified(&job), Ok(None), "no file is a fresh job");
-        fs::write(dir.job_path(&job), "garbage\n").expect("write");
-        let err = dir.load_classified(&job).expect_err("damaged file is classified");
-        assert!(matches!(err, JobError::CorruptResume(_)), "{err:?}");
-        assert!(err.to_string().contains("header mismatch"), "{err}");
+        refused("unparsable row");
+        let row = SimStats::default().to_csv_row();
+        fs::write(dir.job_path(&job), format!("{}\n{row}\n", SimStats::csv_header()))
+            .expect("write");
+        assert!(refused("no fingerprint").contains("fingerprint"));
+        dir.store(&job, &SimStats::default(), 8).expect("store");
+        assert!(refused("another job's fingerprint").contains("fingerprint"));
         fs::remove_dir_all(&root).ok();
     }
 

@@ -19,14 +19,18 @@
 //!
 //! # Crash-safe resume
 //!
-//! When the harness has an output directory, every *completed point* is
-//! journaled to `<out>/<spec-name>.journal/p<slug>.csv` (atomically, via
-//! temp-file rename) the moment its batch finishes. A sweep killed
-//! mid-run — even `kill -9` — restarts by loading journaled points instead
-//! of re-simulating them; because the journal stores the exact integer
-//! `(cycles, committed)` pairs, the resumed sweep's `points.csv` and
-//! `pareto.csv` are byte-identical to an uninterrupted run's. Delete the
-//! journal directory to force a clean re-evaluation.
+//! A sweep resumes through the harness's one result store: with an output
+//! directory, each round's experiment `<spec-name>-r<round>` stores every
+//! job under `<out>/<spec-name>-r<round>/` the moment its batch finishes.
+//! Every round builds its experiment over its whole batch, workload-major,
+//! so job ids are the same on every run of a spec. A sweep killed mid-run —
+//! even `kill -9` — restarts by loading the stored jobs instead of
+//! re-simulating them; the store keeps the exact integer counters, so the
+//! resumed sweep's `points.csv` and `pareto.csv` are byte-identical to an
+//! uninterrupted run's. A stored job resumes only under its own
+//! fingerprint, so a spec whose axis values, base or sampling plan changed
+//! re-simulates instead of resuming stale numbers. Delete the round
+//! directories to force a clean re-evaluation.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -38,7 +42,7 @@ use svf_configspace::{MicroArchConfig, SweepSpec};
 use svf_workloads::Scale;
 
 use crate::sink::atomic_write;
-use crate::{memo, Experiment, Harness, ProgramSpec};
+use crate::{Experiment, Harness, ProgramSpec};
 
 /// One evaluated sweep point: a config (an index vector into the spec's
 /// axes) with its per-workload and aggregate results.
@@ -80,84 +84,16 @@ pub struct SweepOutcome {
     /// Indices into `points` on the Pareto frontier (max IPC, min cost),
     /// sorted by ascending cost.
     pub frontier: Vec<usize>,
-    /// Workload compilations performed during the sweep (memo-cache delta;
-    /// one per workload not already cached when the sweep started).
+    /// Workload compilations performed during the sweep in the harness's
+    /// session (one per workload the session had not compiled before).
     pub compiles: u64,
     /// Total timing simulations run.
     pub jobs: usize,
-    /// Points loaded from the crash-resume journal instead of simulated.
+    /// Points every one of whose jobs was resumed from the result store
+    /// instead of simulated.
     pub resumed: usize,
     /// One human summary line (includes `compiles=N` for smoke gates).
     pub summary: String,
-}
-
-/// The sweep's crash-resume journal: one tiny CSV per completed point under
-/// `<out>/<spec-name>.journal/`, holding the exact integer results per
-/// workload. Written atomically as each batch completes, so the journal is
-/// valid at every instant — the resume protocol for sweeps, one level above
-/// the harness's per-job sink.
-#[derive(Debug)]
-struct Journal {
-    dir: PathBuf,
-    workloads: Vec<String>,
-}
-
-const JOURNAL_HEADER: &str = "workload,cycles,committed";
-
-impl Journal {
-    fn create(root: &Path, spec: &SweepSpec) -> io::Result<Journal> {
-        let dir = root.join(format!("{}.journal", spec.name));
-        fs::create_dir_all(&dir)?;
-        Ok(Journal { dir, workloads: spec.workloads.clone() })
-    }
-
-    fn point_path(&self, idx: &[usize]) -> PathBuf {
-        self.dir.join(format!("p{}.csv", point_slug(idx)))
-    }
-
-    /// Loads one journaled point's runs, validating that the file matches
-    /// this spec's workload list exactly (names, order, count). Any
-    /// mismatch or damage reads as "not journaled" — the point re-runs and
-    /// the rewrite repairs the file.
-    fn load(&self, idx: &[usize]) -> Option<Vec<(String, u64, u64)>> {
-        let text = fs::read_to_string(self.point_path(idx)).ok()?;
-        let mut lines = text.lines();
-        if lines.next()? != JOURNAL_HEADER {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(self.workloads.len());
-        for want in &self.workloads {
-            let line = lines.next()?;
-            let mut cols = line.split(',');
-            let workload = cols.next()?;
-            if workload != want {
-                return None;
-            }
-            let cycles: u64 = cols.next()?.parse().ok()?;
-            let committed: u64 = cols.next()?.parse().ok()?;
-            if cols.next().is_some() {
-                return None;
-            }
-            runs.push((workload.to_string(), cycles, committed));
-        }
-        if lines.next().is_some() {
-            return None;
-        }
-        Some(runs)
-    }
-
-    /// Journals one completed point. A failed write costs only resumability
-    /// (the point re-simulates next run), so it warns rather than erroring.
-    fn store(&self, idx: &[usize], runs: &[(String, u64, u64)]) {
-        let mut text = format!("{JOURNAL_HEADER}\n");
-        for (workload, cycles, committed) in runs {
-            let _ = writeln!(text, "{workload},{cycles},{committed}");
-        }
-        let path = self.point_path(idx);
-        if let Err(e) = atomic_write(&path, &text) {
-            eprintln!("svf-harness: cannot journal {}: {e}", path.display());
-        }
-    }
 }
 
 /// Parses the spec's scale name.
@@ -183,9 +119,8 @@ fn parse_scale(name: &str) -> Result<Scale, String> {
 pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, String> {
     let scale = parse_scale(&spec.scale)?;
     // A spec's `[sampling]` section overrides the harness's plan for this
-    // sweep only — the journal stores the extrapolated integers, so resume
-    // works unchanged (but don't mix sampled and full journals in one
-    // output directory).
+    // sweep only. The plan is part of every job's fingerprint, so the store
+    // never resumes a full-detail result as a sampled one or the reverse.
     let sampled_harness;
     let harness = match spec.sampling {
         Some(plan) => {
@@ -195,8 +130,10 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
         None => harness,
     };
     // Likewise the top-level `threads` key: the spec's thread count (job
-    // workers + intra-batch timing fan-out) wins for this sweep only. Results are bit-identical at any fan-out, so the
-    // override never changes what the journal resumes to.
+    // workers + intra-batch timing fan-out) wins for this sweep only.
+    // Results are bit-identical at any fan-out, so the override never
+    // changes what a resumed sweep reports. Both overrides are clones, so
+    // they share the harness's session (compile cache included).
     let budgeted_harness;
     let harness = match spec.threads {
         Some(total) => {
@@ -206,16 +143,7 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
         }
         None => harness,
     };
-    let compiles_before = memo::compile_count();
-    // The journal rides the harness's sink root: no sink, no resume.
-    let journal = match harness.out_dir() {
-        Some(root) => Some(
-            Journal::create(root, spec)
-                .map_err(|e| format!("cannot create sweep journal under {}: {e}", root.display()))?,
-        ),
-        None => None,
-    };
-    let journal = journal.as_ref();
+    let compiles_before = harness.session.memo.compiles();
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut seen: HashSet<Vec<usize>> = HashSet::new();
     let mut resumed = 0usize;
@@ -224,11 +152,11 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     match spec.mode {
         svf_configspace::Mode::Grid => {
             let batch = spec.grid_indices()?;
-            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, journal, &mut resumed)?;
+            resumed += evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0)?;
         }
         svf_configspace::Mode::Random => {
             let batch = spec.random_indices()?;
-            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, journal, &mut resumed)?;
+            resumed += evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0)?;
         }
         svf_configspace::Mode::Pareto => {
             let mut batch = spec.pareto_seed_indices()?;
@@ -238,17 +166,7 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
                     break;
                 }
                 batch.truncate(budget);
-                evaluate(
-                    spec,
-                    harness,
-                    scale,
-                    batch,
-                    &mut points,
-                    &mut seen,
-                    round,
-                    journal,
-                    &mut resumed,
-                )?;
+                resumed += evaluate(spec, harness, scale, batch, &mut points, &mut seen, round)?;
                 rounds_run = round;
                 // Next round: the unevaluated neighbours of today's frontier.
                 batch = frontier_of(&points)
@@ -264,7 +182,7 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     }
 
     let frontier = frontier_of(&points);
-    let compiles = memo::compile_count() - compiles_before;
+    let compiles = harness.session.memo.compiles() - compiles_before;
     let jobs = points.iter().map(|p| p.runs.len()).sum();
     let mut summary = format!(
         "[sweep {}] {} points  {} jobs  compiles={compiles}  frontier={}",
@@ -285,12 +203,11 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     Ok(SweepOutcome { name: spec.name.clone(), points, frontier, compiles, jobs, resumed, summary })
 }
 
-/// Evaluates one batch of index vectors: loads journaled points, builds the
-/// workload-major experiment over the *fresh* points only, runs it, appends
-/// one [`SweepPoint`] per vector (in batch order, journaled or not, so the
-/// resulting point list is identical to an uninterrupted run's), and
-/// journals every fresh completion.
-#[allow(clippy::too_many_arguments)]
+/// Evaluates one batch of index vectors: builds the workload-major
+/// experiment over the batch's new points, runs it (the harness's result
+/// store resumes whatever a previous run already finished), and appends
+/// one [`SweepPoint`] per vector in batch order. Returns how many of the
+/// new points were resumed whole.
 fn evaluate(
     spec: &SweepSpec,
     harness: &Harness,
@@ -299,75 +216,51 @@ fn evaluate(
     points: &mut Vec<SweepPoint>,
     seen: &mut HashSet<Vec<usize>>,
     round: u64,
-    journal: Option<&Journal>,
-    resumed: &mut usize,
-) -> Result<(), String> {
+) -> Result<usize, String> {
     let batch: Vec<Vec<usize>> = batch.into_iter().filter(|idx| seen.insert(idx.clone())).collect();
     if batch.is_empty() {
-        return Ok(());
+        return Ok(0);
     }
-    // Split the batch into points the journal already holds and points that
-    // still need simulation.
-    let journaled: Vec<Option<Vec<(String, u64, u64)>>> =
-        batch.iter().map(|idx| journal.and_then(|j| j.load(idx))).collect();
-    let fresh: Vec<usize> =
-        (0..batch.len()).filter(|&b| journaled[b].is_none()).collect();
-    // Workload-major so each workload's jobs are contiguous — they form one
-    // lockstep group either way (grouping is by memo key), but contiguity
-    // keeps result reassembly simple: row-major [workload][fresh point].
-    let mut fresh_runs: Vec<Vec<(String, u64, u64)>> = Vec::new();
-    if !fresh.is_empty() {
-        let mut exp = Experiment::new(format!("{}-r{round}", spec.name));
-        let mut configs = Vec::with_capacity(fresh.len());
-        for &b in &fresh {
-            configs.push(spec.config_at(&batch[b])?.resolve());
+    let configs =
+        batch.iter().map(|idx| spec.config_at(idx)).collect::<Result<Vec<_>, _>>()?;
+    let resolved: Vec<_> = configs.iter().map(MicroArchConfig::resolve).collect();
+    // Workload-major, so job `w * batch.len() + b` is workload `w` at point
+    // `b`: each workload's jobs are contiguous (they form one lockstep group
+    // either way, grouping is by memo key) and the ids depend only on the
+    // spec, which is what lets the store resume them.
+    let mut exp = Experiment::new(format!("{}-r{round}", spec.name));
+    for workload in &spec.workloads {
+        for (idx, cpu) in batch.iter().zip(&resolved) {
+            exp.push(
+                ProgramSpec::workload(workload, scale),
+                &format!("p{}", point_slug(idx)),
+                cpu.clone(),
+            );
         }
-        for workload in &spec.workloads {
-            for (&b, cfg) in fresh.iter().zip(&configs) {
-                exp.push(
-                    ProgramSpec::workload(workload, scale),
-                    &format!("p{}", point_slug(&batch[b])),
-                    cfg.clone(),
-                );
-            }
+    }
+    let report = harness.run(&exp);
+    let stats = report.try_stats()?;
+    let width = batch.len();
+    let mut resumed = 0;
+    for (b, (idx, config)) in batch.into_iter().zip(configs).enumerate() {
+        let jobs = (0..spec.workloads.len()).map(|w| w * width + b);
+        if jobs.clone().all(|j| report.jobs[j].outcome.is_resumed()) {
+            resumed += 1;
         }
-        let report = harness.run(&exp);
-        let stats = report.try_stats()?;
-        for (f, &b) in fresh.iter().enumerate() {
-            let runs: Vec<(String, u64, u64)> = spec
+        points.push(SweepPoint {
+            label: spec.label_at(&idx),
+            cost_bytes: config.stack_structure_bytes(),
+            runs: spec
                 .workloads
                 .iter()
-                .enumerate()
-                .map(|(w, name)| {
-                    let s = stats[w * fresh.len() + f];
-                    (name.clone(), s.cycles, s.committed)
-                })
-                .collect();
-            if let Some(j) = journal {
-                j.store(&batch[b], &runs);
-            }
-            fresh_runs.push(runs);
-        }
-    }
-    let mut fresh_runs = fresh_runs.into_iter();
-    for (b, idx) in batch.iter().enumerate() {
-        let runs = match &journaled[b] {
-            Some(runs) => {
-                *resumed += 1;
-                runs.clone()
-            }
-            None => fresh_runs.next().expect("one runs vector per fresh point"),
-        };
-        let config = spec.config_at(idx)?;
-        points.push(SweepPoint {
-            index: idx.clone(),
-            label: spec.label_at(idx),
-            cost_bytes: config.stack_structure_bytes(),
+                .zip(jobs)
+                .map(|(name, j)| (name.clone(), stats[j].cycles, stats[j].committed))
+                .collect(),
+            index: idx,
             config,
-            runs,
         });
     }
-    Ok(())
+    Ok(resumed)
 }
 
 /// A stable, filesystem-safe slug for an index vector (`3-0-2`).
@@ -518,42 +411,5 @@ mod tests {
     fn point_slugs_are_stable() {
         assert_eq!(point_slug(&[3, 0, 2]), "3-0-2");
         assert_eq!(point_slug(&[]), "");
-    }
-
-    #[test]
-    fn journal_round_trips_exact_integers() {
-        let dir = std::env::temp_dir()
-            .join(format!("svf-sweep-journal-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("mkdir");
-        let j = Journal {
-            dir: dir.clone(),
-            workloads: vec!["gcc".to_string(), "vortex".to_string()],
-        };
-        assert!(j.load(&[1, 2]).is_none(), "nothing journaled yet");
-        let runs = vec![
-            ("gcc".to_string(), 123_456_789_012_345, 987_654_321),
-            ("vortex".to_string(), 42, 7),
-        ];
-        j.store(&[1, 2], &runs);
-        assert_eq!(j.load(&[1, 2]), Some(runs), "exact u64 round trip");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_rejects_workload_mismatch_and_damage() {
-        let dir = std::env::temp_dir()
-            .join(format!("svf-sweep-journal-bad-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("mkdir");
-        let j = Journal { dir: dir.clone(), workloads: vec!["gcc".to_string()] };
-        j.store(&[0], &[("gcc".to_string(), 10, 5)]);
-        // A spec with different workloads must not resume this point.
-        let other = Journal { dir: dir.clone(), workloads: vec!["vortex".to_string()] };
-        assert!(other.load(&[0]).is_none(), "workload mismatch rejected");
-        let extra =
-            Journal { dir: dir.clone(), workloads: vec!["gcc".to_string(), "x".to_string()] };
-        assert!(extra.load(&[0]).is_none(), "missing rows rejected");
-        fs::write(j.point_path(&[0]), "garbage\n").expect("write");
-        assert!(j.load(&[0]).is_none(), "damaged header rejected");
-        fs::remove_dir_all(&dir).ok();
     }
 }

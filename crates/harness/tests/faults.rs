@@ -6,32 +6,16 @@
 //! killed mid-flight (`abort`, the in-process `kill -9`) resumes without
 //! recomputing any completed job.
 //!
-//! The fault plan is process-global state, so every test that arms one
-//! holds [`PLAN_GATE`] for its arm→run→disarm window.
+//! A fault plan belongs to the harness it is set on (and its clones), so
+//! these tests run concurrently without coordinating.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use svf_cpu::{CpuConfig, Simulator};
-use svf_harness::{
-    install_fault_plan, Experiment, Harness, JobError, JobOutcome, ProgramSpec,
-};
-
-/// Serializes arm→run→disarm windows across tests in this binary.
-static PLAN_GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with `plan` armed, disarming afterwards even if `f` panics
-/// (a poisoned gate would cascade into unrelated tests otherwise).
-fn with_plan<R>(plan: &str, f: impl FnOnce() -> R) -> R {
-    let _gate = PLAN_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    install_fault_plan(plan);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    install_fault_plan("");
-    result.unwrap_or_else(|p| std::panic::resume_unwind(p))
-}
+use svf_harness::{Experiment, Harness, JobError, JobOutcome, ProgramSpec};
 
 /// A small kernel that keeps even debug-build cycle simulation quick.
 const TINY: &str = "
@@ -49,9 +33,7 @@ int main() {
     return 0;
 }";
 
-/// One program under `n` distinct healthy configurations. Distinct labels
-/// per test keep the process-global memo cache and lockstep quarantine from
-/// coupling tests to each other.
+/// One program under `n` distinct healthy configurations.
 fn healthy_experiment(tag: &str, n: usize) -> Experiment {
     let mut exp = Experiment::new(tag);
     let widths = [CpuConfig::wide4(), CpuConfig::wide8(), CpuConfig::wide16()];
@@ -70,105 +52,111 @@ fn tmp_root(tag: &str) -> PathBuf {
 #[test]
 fn panic_storm_fails_identical_slots_at_every_worker_count() {
     let exp = healthy_experiment("storm", 6);
-    with_plan("", || {
-        // Reference: a fault-free run (any worker count; they are identical
-        // by the determinism contract).
-        let clean = Harness::serial().run(&exp);
-        assert!(clean.failures().is_empty(), "{}", clean.summary);
-        let clean_stats: Vec<_> = clean.stats().into_iter().cloned().collect();
+    // Reference: a fault-free run (any worker count; they are identical by
+    // the determinism contract).
+    let clean = Harness::serial().run(&exp);
+    assert!(clean.failures().is_empty(), "{}", clean.summary);
+    let clean_stats: Vec<_> = clean.stats().into_iter().cloned().collect();
 
-        for workers in [1, 2, 4, 8] {
-            install_fault_plan("panic@1,panic@4");
-            // One attempt: the injected panic must surface, not recover.
-            let report =
-                Harness::parallel().with_workers(workers).with_retries(1).run(&exp);
-            for (i, job) in report.jobs.iter().enumerate() {
-                match (&job.outcome, i) {
-                    (JobOutcome::Failed(e), 1 | 4) => {
-                        assert!(
-                            matches!(e, JobError::Injected { retryable: true, .. }),
-                            "job {i} at {workers} workers: classified injected, got {e:?}"
-                        );
-                    }
-                    (JobOutcome::Completed(s), _) => {
-                        assert_eq!(
-                            *s, clean_stats[i],
-                            "job {i} at {workers} workers: survivors bit-identical"
-                        );
-                    }
-                    (outcome, _) => {
-                        panic!("job {i} at {workers} workers: unexpected {outcome:?}")
-                    }
+    for workers in [1, 2, 4, 8] {
+        // One attempt: the injected panic must surface, not recover.
+        let report = Harness::parallel()
+            .with_workers(workers)
+            .with_retries(1)
+            .with_fault_plan("panic@1,panic@4")
+            .run(&exp);
+        for (i, job) in report.jobs.iter().enumerate() {
+            match (&job.outcome, i) {
+                (JobOutcome::Failed(e), 1 | 4) => {
+                    assert!(
+                        matches!(e, JobError::Injected { retryable: true, .. }),
+                        "job {i} at {workers} workers: classified injected, got {e:?}"
+                    );
                 }
+                (JobOutcome::Completed(s), _) => {
+                    assert_eq!(
+                        *s, clean_stats[i],
+                        "job {i} at {workers} workers: survivors bit-identical"
+                    );
+                }
+                (outcome, _) => panic!("job {i} at {workers} workers: unexpected {outcome:?}"),
             }
         }
-    });
+    }
 }
 
 #[test]
 fn retryable_faults_recover_and_match_the_clean_run() {
     let exp = healthy_experiment("recover", 4);
-    with_plan("", || {
-        let clean = Harness::serial().run(&exp);
-        let clean_stats: Vec<_> = clean.stats().into_iter().cloned().collect();
+    let clean = Harness::serial().run(&exp);
+    let clean_stats: Vec<_> = clean.stats().into_iter().cloned().collect();
 
-        // Injected panics and I/O faults fire once and are retryable: with
-        // the default 3-attempt budget every job must settle successfully.
-        install_fault_plan("panic@0,io@2");
-        let report = Harness::serial().run(&exp);
-        assert!(report.failures().is_empty(), "all recovered: {}", report.summary);
-        for (i, s) in report.stats().iter().enumerate() {
-            assert_eq!(**s, clean_stats[i], "job {i}: recovery is bit-identical");
-        }
-        assert!(report.summary.contains("retried"), "retries are visible: {}", report.summary);
-    });
+    // Injected panics and I/O faults fire once and are retryable: with the
+    // default 3-attempt budget every job must settle successfully.
+    let report = Harness::serial().with_fault_plan("panic@0,io@2").run(&exp);
+    assert!(report.failures().is_empty(), "all recovered: {}", report.summary);
+    for (i, s) in report.stats().iter().enumerate() {
+        assert_eq!(**s, clean_stats[i], "job {i}: recovery is bit-identical");
+    }
+    assert!(report.summary.contains("retried"), "retries are visible: {}", report.summary);
 }
 
 #[test]
 fn truncated_trace_fault_is_final_despite_retry_budget() {
     let exp = healthy_experiment("trunc", 2);
-    with_plan("trunc@0", || {
-        let report = Harness::serial().with_retries(5).run(&exp);
-        match report.jobs[0].outcome.failure() {
-            Some(e @ JobError::TraceTruncated(_)) => {
-                assert!(!e.retryable(), "damaged inputs are final");
-            }
-            other => panic!("expected TraceTruncated, got {other:?}"),
+    let report = Harness::serial().with_retries(5).with_fault_plan("trunc@0").run(&exp);
+    match report.jobs[0].outcome.failure() {
+        Some(e @ JobError::TraceTruncated(_)) => {
+            assert!(!e.retryable(), "damaged inputs are final");
         }
-        assert!(report.jobs[1].outcome.stats().is_some(), "sibling unaffected");
-        assert!(!report.summary.contains("retried"), "no retry burned: {}", report.summary);
-    });
+        other => panic!("expected TraceTruncated, got {other:?}"),
+    }
+    assert!(report.jobs[1].outcome.stats().is_some(), "sibling unaffected");
+    assert!(!report.summary.contains("retried"), "no retry burned: {}", report.summary);
 }
 
 #[test]
 fn watchdog_turns_a_hang_into_a_timeout_then_retry_recovers() {
     let exp = healthy_experiment("hang", 2);
-    with_plan("hang@1:60000", || {
-        // Attempt 1 sleeps 60s inside the job; the 250ms watchdog abandons
-        // it. The entry is consumed, so the retry runs clean.
-        let report = Harness::serial()
-            .with_timeout(Duration::from_millis(250))
-            .with_retries(2)
-            .run(&exp);
-        assert!(report.failures().is_empty(), "retry recovered: {}", report.summary);
-        assert!(report.summary.contains("timed out"), "{}", report.summary);
-        assert!(report.summary.contains("retried"), "{}", report.summary);
-    });
+    // Attempt 1 sleeps 60s inside the job; the 250ms watchdog abandons it.
+    // The entry is consumed, so the retry runs clean.
+    let report = Harness::serial()
+        .with_timeout(Duration::from_millis(250))
+        .with_retries(2)
+        .with_fault_plan("hang@1:60000")
+        .run(&exp);
+    assert!(report.failures().is_empty(), "retry recovered: {}", report.summary);
+    assert!(report.summary.contains("timed out"), "{}", report.summary);
+    assert!(report.summary.contains("retried"), "{}", report.summary);
 }
 
 #[test]
 fn exhausted_watchdog_reports_timeout() {
     let exp = healthy_experiment("hang-final", 1);
-    with_plan("hang@0:60000", || {
-        let report = Harness::serial()
-            .with_timeout(Duration::from_millis(150))
-            .with_retries(1)
-            .run(&exp);
-        match report.jobs[0].outcome.failure() {
-            Some(JobError::Timeout { millis }) => assert_eq!(*millis, 150),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    });
+    let report = Harness::serial()
+        .with_timeout(Duration::from_millis(150))
+        .with_retries(1)
+        .with_fault_plan("hang@0:60000")
+        .run(&exp);
+    match report.jobs[0].outcome.failure() {
+        Some(JobError::Timeout { millis }) => assert_eq!(*millis, 150),
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+}
+
+/// One program under four configurations, job 2 a zero-width machine that
+/// deadlocks the pipeline.
+fn diverging_experiment() -> Experiment {
+    let mut exp = Experiment::new("quarantine");
+    for (label, config) in [
+        ("4-wide", CpuConfig::wide4()),
+        ("8-wide", CpuConfig::wide8()),
+        ("0-wide", CpuConfig { width: 0, ..CpuConfig::wide4() }),
+        ("16-wide", CpuConfig::wide16()),
+    ] {
+        exp.push(ProgramSpec::source("quarantine", TINY), label, config);
+    }
+    exp
 }
 
 #[test]
@@ -178,56 +166,43 @@ fn quarantined_lockstep_batch_matches_solo_simulation_bit_for_bit() {
     // quarantines the diverging member, and the surviving members'
     // statistics must equal solo `Simulator::run` references exactly,
     // while the diverging member panics with the same message alone.
-    let build = |tag: &str| {
-        let mut exp = Experiment::new(tag);
-        exp.push(ProgramSpec::source("quarantine", TINY), "4-wide", CpuConfig::wide4());
-        exp.push(ProgramSpec::source("quarantine", TINY), "8-wide", CpuConfig::wide8());
-        exp.push(
-            ProgramSpec::source("quarantine", TINY),
-            "0-wide",
-            CpuConfig { width: 0, ..CpuConfig::wide4() },
+    let exp = diverging_experiment();
+    let harness = Harness::parallel();
+    let lockstep = harness.run(&exp);
+    let program = ProgramSpec::source("quarantine", TINY).compile().expect("compiles");
+    for i in [0, 1, 3] {
+        let a = lockstep.jobs[i].outcome.stats().expect("lockstep survivor");
+        let b = Simulator::new(exp.jobs()[i].config.clone()).run(&program, u64::MAX);
+        assert_eq!(*a, b, "job {i}: quarantined batch diverged from solo simulation");
+    }
+    match lockstep.jobs[2].outcome.failure() {
+        Some(JobError::Panic(m)) => {
+            assert!(m.contains("deadlock"), "real divergence classified: {m}");
+        }
+        other => panic!("diverging member must panic, got {other:?}"),
+    }
+    let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Simulator::new(exp.jobs()[2].config.clone()).run(&program, u64::MAX)
+    }));
+    let payload = solo.expect_err("the diverging member panics alone too");
+    let m = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(m.contains("deadlock"), "solo divergence: {m}");
+    // The member is now quarantined in this harness's session: re-running
+    // the same lockstep experiment on it runs the member alone and
+    // reproduces the identical outcome (nothing poisons the healthy batch).
+    let again = harness.run(&exp);
+    for i in [0, 1, 3] {
+        assert_eq!(
+            again.jobs[i].outcome.stats(),
+            lockstep.jobs[i].outcome.stats(),
+            "job {i}: quarantined re-run identical"
         );
-        exp.push(ProgramSpec::source("quarantine", TINY), "16-wide", CpuConfig::wide16());
-        exp
-    };
-    with_plan("", || {
-        let exp = build("q-lockstep");
-        let lockstep = Harness::parallel().run(&exp);
-        let program = ProgramSpec::source("quarantine", TINY).compile().expect("compiles");
-        for i in [0, 1, 3] {
-            let a = lockstep.jobs[i].outcome.stats().expect("lockstep survivor");
-            let b = Simulator::new(exp.jobs()[i].config.clone()).run(&program, u64::MAX);
-            assert_eq!(*a, b, "job {i}: quarantined batch diverged from solo simulation");
-        }
-        match lockstep.jobs[2].outcome.failure() {
-            Some(JobError::Panic(m)) => {
-                assert!(m.contains("deadlock"), "real divergence classified: {m}");
-            }
-            other => panic!("diverging member must panic, got {other:?}"),
-        }
-        let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Simulator::new(exp.jobs()[2].config.clone()).run(&program, u64::MAX)
-        }));
-        let payload = solo.expect_err("the diverging member panics alone too");
-        let m = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        assert!(m.contains("deadlock"), "solo divergence: {m}");
-        // The member is now quarantined: re-running the same lockstep
-        // experiment runs it alone and reproduces the identical outcome
-        // (nothing poisons the healthy batch).
-        let again = Harness::parallel().run(&build("q-lockstep-2"));
-        for i in [0, 1, 3] {
-            assert_eq!(
-                again.jobs[i].outcome.stats(),
-                lockstep.jobs[i].outcome.stats(),
-                "job {i}: quarantined re-run identical"
-            );
-        }
-        assert!(again.jobs[2].outcome.failure().is_some());
-    });
+    }
+    assert!(again.jobs[2].outcome.failure().is_some());
 }
 
 #[test]
@@ -238,49 +213,36 @@ fn threaded_lockstep_quarantines_a_panicking_pipeline_thread_like_serial() {
     // those timing threads; its panic must cross the fan-out boundary with
     // the original payload, drive the same bisection, and quarantine the
     // same member — with survivors bit-identical to the serial path.
-    let build = |tag: &str| {
-        let mut exp = Experiment::new(tag);
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "4-wide", CpuConfig::wide4());
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "8-wide", CpuConfig::wide8());
-        exp.push(
-            ProgramSpec::source("mt-quarantine", TINY),
-            "0-wide",
-            CpuConfig { width: 0, ..CpuConfig::wide4() },
-        );
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "16-wide", CpuConfig::wide16());
-        exp
-    };
-    with_plan("", || {
-        // One group on 8 threads is one job worker: the 4-wide batch claims
-        // 3 extra timing threads, so the divergence fires on a fanned-out
-        // thread.
-        let threaded = Harness::parallel().with_threads(8).run(&build("mt-q-threaded"));
-        let serial = Harness::serial().run(&build("mt-q-serial"));
-        for i in [0, 1, 3] {
-            let a = threaded.jobs[i].outcome.stats().expect("threaded survivor");
-            let b = serial.jobs[i].outcome.stats().expect("serial survivor");
-            assert_eq!(a, b, "job {i}: threaded quarantine diverged from serial");
-        }
-        for report in [&threaded, &serial] {
-            match report.jobs[2].outcome.failure() {
-                Some(JobError::Panic(m)) => {
-                    assert!(m.contains("deadlock"), "original payload crossed threads: {m}");
-                }
-                other => panic!("diverging member must panic, got {other:?}"),
+    let exp = diverging_experiment();
+    // One group on 8 threads is one job worker: the 4-wide batch claims 3
+    // extra timing threads, so the divergence fires on a fanned-out thread.
+    let harness = Harness::parallel().with_threads(8);
+    let threaded = harness.run(&exp);
+    let serial = Harness::serial().run(&exp);
+    for i in [0, 1, 3] {
+        let a = threaded.jobs[i].outcome.stats().expect("threaded survivor");
+        let b = serial.jobs[i].outcome.stats().expect("serial survivor");
+        assert_eq!(a, b, "job {i}: threaded quarantine diverged from serial");
+    }
+    for report in [&threaded, &serial] {
+        match report.jobs[2].outcome.failure() {
+            Some(JobError::Panic(m)) => {
+                assert!(m.contains("deadlock"), "original payload crossed threads: {m}");
             }
+            other => panic!("diverging member must panic, got {other:?}"),
         }
-        // The quarantine record is shared machinery: a threaded re-run
-        // runs the member alone exactly like serial.
-        let again = Harness::parallel().with_threads(8).run(&build("mt-q-threaded-2"));
-        for i in [0, 1, 3] {
-            assert_eq!(
-                again.jobs[i].outcome.stats(),
-                threaded.jobs[i].outcome.stats(),
-                "job {i}: threaded quarantined re-run identical"
-            );
-        }
-        assert!(again.jobs[2].outcome.failure().is_some());
-    });
+    }
+    // The quarantine record is shared machinery: a threaded re-run on the
+    // same harness runs the member alone exactly like serial.
+    let again = harness.run(&exp);
+    for i in [0, 1, 3] {
+        assert_eq!(
+            again.jobs[i].outcome.stats(),
+            threaded.jobs[i].outcome.stats(),
+            "job {i}: threaded quarantined re-run identical"
+        );
+    }
+    assert!(again.jobs[2].outcome.failure().is_some());
 }
 
 /// The experiment for the kill-and-resume test: two programs × two configs.
@@ -333,15 +295,13 @@ fn killed_run_resumes_without_recomputing_completed_jobs() {
     // Resume in-process (this process has no fault plan armed): the two
     // completed jobs load from the sink, only group B simulates, and the
     // final results are bit-identical to an uninterrupted, sink-less run.
-    with_plan("", || {
-        let exp = crash_experiment();
-        let resumed = Harness::serial().with_out_dir(&root).run(&exp);
-        assert_eq!(resumed.resumed(), 2, "zero completed jobs recomputed");
-        assert!(resumed.failures().is_empty(), "{}", resumed.summary);
-        let clean = Harness::serial().run(&exp);
-        for (i, (a, b)) in resumed.stats().iter().zip(clean.stats()).enumerate() {
-            assert_eq!(**a, *b, "job {i}: resumed run differs from uninterrupted run");
-        }
-    });
+    let exp = crash_experiment();
+    let resumed = Harness::serial().with_out_dir(&root).run(&exp);
+    assert_eq!(resumed.resumed(), 2, "zero completed jobs recomputed");
+    assert!(resumed.failures().is_empty(), "{}", resumed.summary);
+    let clean = Harness::serial().run(&exp);
+    for (i, (a, b)) in resumed.stats().iter().zip(clean.stats()).enumerate() {
+        assert_eq!(**a, *b, "job {i}: resumed run differs from uninterrupted run");
+    }
     fs::remove_dir_all(&root).ok();
 }

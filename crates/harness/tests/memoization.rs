@@ -1,16 +1,12 @@
-//! The ISSUE-level memoization contract: a full C-configuration ×
-//! W-workload experiment matrix performs exactly W MiniC compilations.
-//!
-//! This lives in its own test binary on purpose: the compile cache and its
-//! counter are **process-global**, so the exact-count assertion below is
-//! only sound when no concurrently-running test compiles the same registry
-//! workloads. Keep this the only test in the file.
+//! The memoization contract: a full C-configuration × W-workload
+//! experiment matrix performs exactly W MiniC compilations, and a warm
+//! rerun on the same harness performs none.
 
 use svf_cpu::{CpuConfig, StackEngine};
-use svf_harness::{compile_count, Experiment, Harness};
+use svf_harness::{Experiment, Harness};
 use svf_workloads::Scale;
 
-/// Timing-heavy (48 cycle simulations), so release-only like the
+/// Timing-heavy (2 × 48 cycle simulations), so release-only like the
 /// figure-shape tests.
 #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
 #[test]
@@ -29,17 +25,17 @@ fn matrix_compiles_each_workload_exactly_once() {
     let workloads = svf_workloads::all().len();
     assert_eq!(exp.jobs().len(), workloads * configs.len(), "full 12x4 matrix");
 
-    let before = compile_count();
-    let report = Harness::parallel().with_workers(4).run(&exp);
+    let harness = Harness::parallel().with_workers(4);
+    let report = harness.run(&exp);
     report.try_stats().expect("every job completes");
     assert_eq!(
-        compile_count() - before,
-        workloads as u64,
+        report.compiles, workloads as u64,
         "each workload compiles once, not once per configuration"
     );
 
-    // A second identical run is fully served from the cache.
-    let report = Harness::parallel().with_workers(4).run(&exp);
-    report.try_stats().expect("every job completes again");
-    assert_eq!(compile_count() - before, workloads as u64, "warm matrix recompiles nothing");
+    // A second identical run on the same harness is fully served from its
+    // session's cache.
+    let warm = harness.run(&exp);
+    warm.try_stats().expect("every job completes again");
+    assert_eq!(warm.compiles, 0, "warm matrix recompiles nothing");
 }

@@ -1,12 +1,13 @@
 //! Orchestration contracts: parallel runs are bit-identical to serial runs,
-//! a panicking job is isolated from its siblings, and interrupted runs
-//! resume from the run directory.
+//! a panicking job is isolated from its siblings, interrupted runs resume
+//! from the run directory (and only results of the same job), and every
+//! harness owns its own compile cache and fault plan.
 
 use std::fs;
 use std::path::PathBuf;
 
-use svf_cpu::{CpuConfig, SimStats, Simulator, StackEngine};
-use svf_harness::{Experiment, Harness, JobOutcome, ProgramSpec};
+use svf_cpu::{CpuConfig, SampleSpec, SimStats, Simulator, StackEngine};
+use svf_harness::{Experiment, Harness, JobError, JobOutcome, ProgramSpec};
 use svf_workloads::Scale;
 
 /// A small kernel that keeps even debug-build cycle simulation quick.
@@ -220,6 +221,65 @@ fn interrupted_runs_resume_from_the_run_dir() {
     let third = harness.run(&exp);
     assert_eq!(third.resumed(), 0);
     fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn sampled_run_never_resumes_full_detail_results() {
+    // A sampled run pointed at a directory of full-detail results for the
+    // very same job keys must re-simulate every job: an extrapolated
+    // estimate and an exact count are different results.
+    let root = tmp_root("sampled-over-full");
+    fs::remove_dir_all(&root).ok();
+    let exp = tiny_experiment("sampled-over-full");
+    let full = Harness::serial().with_out_dir(&root).run(&exp);
+    assert_eq!(full.resumed(), 0);
+    let spec = SampleSpec::parse("period=8k,interval=2k,warmup=1k,ramp=500,tail=200")
+        .expect("plan parses");
+    let sampled = Harness::serial().with_sample(spec).with_out_dir(&root).run(&exp);
+    assert_eq!(sampled.resumed(), 0, "every job re-simulates: {}", sampled.summary);
+    let reference = Harness::serial().with_sample(spec).run(&exp);
+    assert_eq!(sampled.stats(), reference.stats(), "sampled results, not the full ones");
+    assert_ne!(sampled.stats(), full.stats(), "the estimate differs from the exact run");
+    // The store now holds the sampled results, and resumes them.
+    let again = Harness::serial().with_sample(spec).with_out_dir(&root).run(&exp);
+    assert_eq!(again.resumed(), exp.jobs().len());
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn every_harness_owns_its_compile_cache() {
+    let exp = tiny_experiment("sessions");
+    let first = Harness::parallel();
+    assert_eq!(first.run(&exp).compiles, 1, "a fresh harness compiles the program");
+    assert_eq!(first.run(&exp).compiles, 0, "its reruns and clones share the cache");
+    assert_eq!(first.clone().run(&exp).compiles, 0);
+    assert_eq!(Harness::parallel().run(&exp).compiles, 1, "another harness compiles again");
+}
+
+#[test]
+fn a_fault_plan_fires_only_in_its_own_harness() {
+    // Two harnesses run the same experiment at the same time; only the one
+    // the plan was set on sees the injected panic.
+    let exp = tiny_experiment("plan-isolation");
+    let faulty = Harness::serial().with_retries(1).with_fault_plan("panic@0");
+    let clean = Harness::serial().with_retries(1);
+    let start = std::sync::Barrier::new(2);
+    let (faulty, clean) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            faulty.run(&exp)
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            clean.run(&exp)
+        });
+        (a.join().expect("faulty run"), b.join().expect("clean run"))
+    });
+    match faulty.jobs[0].outcome.failure() {
+        Some(JobError::Injected { kind, .. }) => assert_eq!(kind, "panic"),
+        other => panic!("the planned panic must fire in its own harness, got {other:?}"),
+    }
+    assert!(clean.failures().is_empty(), "the other harness is untouched: {}", clean.summary);
 }
 
 #[test]

@@ -1,24 +1,16 @@
 //! Sweep-driver integration: spec → jobs → lockstep execution → Pareto
-//! frontier → CSV emission.
+//! frontier → CSV emission, and resume through the harness's result store.
 //!
-//! The compile-count assertions read the process-global memo cache, and
-//! cargo runs a binary's tests on concurrent threads — so every test that
-//! measures a compile delta (a) serializes on [`MEMO_GATE`] and (b) uses a
-//! workload no other test in this binary compiles, making its first
-//! compilation land inside the measured window.
+//! Every test runs on its own harness, whose session owns its compile
+//! cache, so the compile counts below are exact while tests run
+//! concurrently.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use svf_configspace::SweepSpec;
 use svf_harness::sweep::{frontier_of, run_sweep, write_csv};
-use svf_harness::{compile_count, Harness};
-
-/// Serializes every test in this binary: any compilation (even a failing
-/// one) advances the global counter, so concurrent tests would corrupt
-/// each other's deltas.
-static MEMO_GATE: Mutex<()> = Mutex::new(());
+use svf_harness::Harness;
 
 fn tmp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("svf-harness-sweep-{tag}-{}", std::process::id()))
@@ -46,7 +38,6 @@ fn assert_well_formed_csv(path: &std::path::Path, min_rows: usize) {
 
 #[test]
 fn grid_sweep_runs_and_emits_csv() {
-    let _gate = MEMO_GATE.lock().expect("memo gate");
     let spec = SweepSpec::from_toml(
         "name = \"smoke\"\n\
          base = \"svf\"\n\
@@ -56,12 +47,10 @@ fn grid_sweep_runs_and_emits_csv() {
          stack_ports = [1, 2]\n",
     )
     .expect("spec parses");
-    let before = compile_count();
     let outcome = run_sweep(&spec, &Harness::parallel()).expect("sweep runs");
     assert_eq!(outcome.points.len(), 4);
     assert_eq!(outcome.jobs, 4);
     assert_eq!(outcome.compiles, 1, "one workload, one compile");
-    assert_eq!(compile_count() - before, 1);
     assert!(outcome.summary.contains("compiles=1"), "{}", outcome.summary);
     assert!(!outcome.frontier.is_empty());
     for &i in &outcome.frontier {
@@ -82,7 +71,6 @@ fn grid_sweep_runs_and_emits_csv() {
 
 #[test]
 fn pareto_search_stays_inside_the_lattice_and_converges() {
-    let _gate = MEMO_GATE.lock().expect("memo gate");
     let spec = SweepSpec::from_toml(
         "name = \"pareto-smoke\"\n\
          mode = \"pareto\"\n\
@@ -116,7 +104,6 @@ fn pareto_search_stays_inside_the_lattice_and_converges() {
 
 #[test]
 fn sweep_failures_are_reported_not_panicked() {
-    let _gate = MEMO_GATE.lock().expect("memo gate");
     let spec = SweepSpec::from_toml(
         "name = \"missing\"\n\
          workload = \"no-such-kernel\"\n\
@@ -128,6 +115,42 @@ fn sweep_failures_are_reported_not_panicked() {
     assert!(err.contains("no-such-kernel"), "{err}");
 }
 
+#[test]
+fn rerun_after_an_axis_change_matches_a_fresh_run() {
+    // A sweep rerun into the same output directory after its axis values
+    // changed reuses every job key (`<id>-mcf-p<i>`), but none of the
+    // stored results: they describe other configurations.
+    let spec = |values: &str| {
+        SweepSpec::from_toml(&format!(
+            "name = \"stale\"\nbase = \"svf\"\nworkload = \"mcf\"\n[axes]\nsvf_bytes = [{values}]\n"
+        ))
+        .expect("spec parses")
+    };
+    let root = tmp_root("stale");
+    fs::remove_dir_all(&root).ok();
+    let harness = Harness::parallel().with_out_dir(root.join("runs"));
+    let first = run_sweep(&spec("1k, 8k"), &harness).expect("first sweep runs");
+    assert_eq!(first.resumed, 0);
+
+    let changed = spec("64, 128");
+    let rerun = run_sweep(&changed, &harness).expect("rerun runs");
+    assert_eq!(rerun.resumed, 0, "stale results re-simulate: {}", rerun.summary);
+    let fresh = run_sweep(&changed, &Harness::parallel()).expect("fresh sweep runs");
+    let (rerun_csv, _) = write_csv(&changed, &rerun, &root.join("rerun")).expect("csv");
+    let (fresh_csv, _) = write_csv(&changed, &fresh, &root.join("fresh")).expect("csv");
+    assert_eq!(
+        fs::read_to_string(&rerun_csv).expect("rerun points"),
+        fs::read_to_string(&fresh_csv).expect("fresh points"),
+        "points.csv of the rerun equals a fresh run's"
+    );
+
+    // The rerun repaired the store: a third run resumes every point.
+    let third = run_sweep(&changed, &harness).expect("third sweep runs");
+    assert_eq!(third.resumed, 2, "{}", third.summary);
+    assert!(third.summary.contains("resumed=2"), "{}", third.summary);
+    fs::remove_dir_all(&root).ok();
+}
+
 /// The ISSUE acceptance gate: a 1000+ configuration sweep over one workload
 /// performs exactly one compile, rides lockstep groups, and emits a valid
 /// Pareto frontier CSV. Timing-heavy (1080 cycle simulations), so
@@ -135,7 +158,6 @@ fn sweep_failures_are_reported_not_panicked() {
 #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
 #[test]
 fn thousand_config_sweep_compiles_once() {
-    let _gate = MEMO_GATE.lock().expect("memo gate");
     let spec = SweepSpec::from_toml(
         "name = \"thousand\"\n\
          base = \"svf\"\n\
@@ -152,16 +174,10 @@ fn thousand_config_sweep_compiles_once() {
     .expect("spec parses");
     assert_eq!(spec.lattice_size(), 1080, "the gate wants 1000+ configurations");
 
-    let before = compile_count();
     let outcome = run_sweep(&spec, &Harness::parallel()).expect("sweep runs");
     assert_eq!(outcome.points.len(), 1080);
     assert_eq!(outcome.jobs, 1080);
-    assert_eq!(
-        compile_count() - before,
-        1,
-        "1080 configurations share one compile of the workload"
-    );
-    assert_eq!(outcome.compiles, 1);
+    assert_eq!(outcome.compiles, 1, "1080 configurations share one compile of the workload");
     assert!(outcome.summary.contains("compiles=1"), "{}", outcome.summary);
     assert!(!outcome.frontier.is_empty());
 

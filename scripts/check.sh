@@ -132,9 +132,11 @@ for f in points.csv pareto.csv; do
 done
 echo "threaded-lockstep smoke: --threads 8 CSVs byte-identical to serial"
 # Crash-resume smoke: the same sweep with a result sink, killed mid-run by
-# a planted abort (the in-process kill -9), must resume from the sink and
-# finish with points.csv/pareto.csv byte-identical to the fault-free run
-# above; a third run must skip every point via the sweep journal.
+# a planted abort (the in-process kill -9), must resume from the harness's
+# result store: the 7 jobs stored before the abort come back resumed
+# (`resumed=7`), only the aborted one simulates, and points.csv/pareto.csv
+# are byte-identical to the fault-free run above. A third run must resume
+# every point, and the store is the only resume state: no journal.
 if SVF_FAULT_PLAN="abort@4" cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs"
 then
@@ -142,18 +144,22 @@ then
 fi
 [ "$(ls "$smoke_dir/crash-runs/check-smoke-r0" | wc -l)" -eq 7 ] \
     || { echo "crash-resume smoke: crash should leave the 7 clean jobs stored" >&2; exit 1; }
+# (to files first: grep -q would close the pipe early and panic the binary)
 cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
     > "$smoke_dir/resume.out"
+grep -q 'resumed=7' "$smoke_dir/resume.out" \
+    || { echo "crash-resume smoke: the resumed sweep did not resume the 7 stored points" >&2; exit 1; }
 for f in points.csv pareto.csv; do
     cmp "$smoke_dir/sweep/$f" "$smoke_dir/crash/$f" \
         || { echo "crash-resume smoke: $f differs from the fault-free run" >&2; exit 1; }
 done
-# (to a file first: grep -q would close the pipe early and panic the binary)
 cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
-    > "$smoke_dir/journal.out"
-grep -q 'resumed=8' "$smoke_dir/journal.out" \
-    || { echo "crash-resume smoke: journal did not resume all 8 points" >&2; exit 1; }
-echo "crash-resume smoke: killed sweep resumed to byte-identical CSVs"
+    > "$smoke_dir/rerun.out"
+grep -q 'resumed=8' "$smoke_dir/rerun.out" \
+    || { echo "crash-resume smoke: a finished sweep did not resume all 8 points" >&2; exit 1; }
+[ -z "$(find "$smoke_dir/crash-runs" -name '*.journal')" ] \
+    || { echo "crash-resume smoke: a sweep journal appeared under --out" >&2; exit 1; }
+echo "crash-resume smoke: killed sweep resumed 7 stored points to byte-identical CSVs"
 cargo clippy --workspace --all-targets -- -D warnings
