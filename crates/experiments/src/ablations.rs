@@ -14,10 +14,10 @@
 
 use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::{matrix, matrix_for, run_rows};
+use crate::runner::{matrix, matrix_for, run_rows, speedup_table};
 use crate::table::ExpTable;
 use svf_cpu::CpuConfig;
-use svf_harness::{Experiment, ProgramSpec};
+use svf_harness::{Experiment, Harness, ProgramSpec};
 use svf_workloads::{all, Scale};
 
 fn svf_cfg(capacity: u64) -> CpuConfig {
@@ -26,36 +26,26 @@ fn svf_cfg(capacity: u64) -> CpuConfig {
 
 /// SVF capacity sweep: speedup over the `(2+0)` baseline per size.
 #[must_use]
-pub fn size_sweep(scale: Scale) -> ExpTable {
+pub fn size_sweep(h: &Harness, scale: Scale) -> ExpTable {
     let sizes = [1u64 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10];
-    let headers = ["bench", "1KB", "2KB", "4KB", "8KB", "16KB"];
-    let mut t = ExpTable::new("Ablation: SVF capacity vs speedup (16-wide, 2+2)", &headers);
+    let headers = ["1KB", "2KB", "4KB", "8KB", "16KB"];
     let labels: Vec<String> = sizes.iter().map(|&s| format!("SVF {}KB", s >> 10)).collect();
     let mut configs = vec![("base (2+0)", machine("base"))];
     configs.extend(labels.iter().zip(&sizes).map(|(l, &s)| (l.as_str(), svf_cfg(s))));
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for (bench, stats) in matrix("ablation-size", &configs, scale) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        for (col, stat) in stats.iter().skip(1).enumerate() {
-            let s = stat.speedup_over(base);
-            per_col[col].push(s);
-            cells.push(format!("{s:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
+    let columns: Vec<(&str, usize, usize)> =
+        headers.iter().enumerate().map(|(col, &h)| (h, col + 1, 0)).collect();
+    let mut t = speedup_table(
+        "Ablation: SVF capacity vs speedup (16-wide, 2+2)",
+        &matrix(h, "ablation-size", &configs, scale),
+        &columns,
+    );
     t.note("the deep-stack kernels (gcc, parser, crafty) need capacity; flat kernels saturate early");
     t
 }
 
 /// Squash-penalty sensitivity on the squash-prone kernels.
 #[must_use]
-pub fn squash_sensitivity(scale: Scale) -> ExpTable {
+pub fn squash_sensitivity(h: &Harness, scale: Scale) -> ExpTable {
     let penalties = [5u64, 10, 15, 25, 40];
     let mut t = ExpTable::new(
         "Ablation: §3.2 squash recovery penalty (SVF 2+2, speedup over 2+0)",
@@ -68,7 +58,7 @@ pub fn squash_sensitivity(scale: Scale) -> ExpTable {
     }));
     configs.push(("SVF no_squash", machine("svf-nosquash")));
     let benches = ["eon", "twolf", "vortex", "gcc"];
-    for (bench, stats) in matrix_for("ablation-squash", &configs, scale, &benches) {
+    for (bench, stats) in matrix_for(h, "ablation-squash", &configs, scale, &benches) {
         let base = &stats[0];
         let mut cells = vec![bench];
         cells.extend(stats.iter().skip(1).map(|s| format!("{:.3}x", s.speedup_over(base))));
@@ -81,7 +71,7 @@ pub fn squash_sensitivity(scale: Scale) -> ExpTable {
 /// Code-quality ablation: SVF benefit with the optimizing vs the naive
 /// (spill-everything) code generator.
 #[must_use]
-pub fn code_quality(scale: Scale) -> ExpTable {
+pub fn code_quality(h: &Harness, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Ablation: compiler quality vs SVF benefit (16-wide)",
         &["bench", "regalloc speedup", "naive speedup", "regalloc stack/inst", "naive stack/inst"],
@@ -102,7 +92,7 @@ pub fn code_quality(scale: Scale) -> ExpTable {
     }
     let mut opt_s = Vec::new();
     let mut naive_s = Vec::new();
-    for (bench, stats) in run_rows(&exp, 4) {
+    for (bench, stats) in run_rows(h, &exp, 4) {
         let mut cells = vec![bench];
         let mut densities = Vec::new();
         let mut speeds = Vec::new();
@@ -138,7 +128,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn size_sweep_monotone_for_deep_kernels() {
-        let t = size_sweep(Scale::Test);
+        let t = size_sweep(&Harness::parallel(), Scale::Test);
         // gcc's stack exceeds small windows. Window misses are mostly off
         // the critical path (spills are background traffic), so capacity
         // shifts performance only slightly — but it must never *cost*
@@ -159,7 +149,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn code_quality_keeps_benefit() {
-        let t = code_quality(Scale::Test);
+        let t = code_quality(&Harness::parallel(), Scale::Test);
         let opt = t.cell_f64("average", "regalloc speedup").expect("avg");
         let naive = t.cell_f64("average", "naive speedup").expect("avg");
         assert!(opt > 1.0, "benefit survives a better compiler: {opt}");

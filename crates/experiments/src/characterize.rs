@@ -1,6 +1,7 @@
 //! Functional-pass workload characterization (Figures 1–3 substrate).
 
 use svf_emu::{AccessMethod, Emulator};
+use svf_harness::Harness;
 use svf_isa::{MemRegion, Program, STACK_BASE};
 use svf_workloads::{Scale, Workload};
 
@@ -155,20 +156,20 @@ pub fn characterize(w: &Workload, scale: Scale) -> CharStats {
     characterize_program(&program, u64::MAX)
 }
 
-/// Characterizes every registered workload, in registry order, using the
-/// process-global harness worker pool (the functional passes behind
-/// Figures 1–3 share one characterization sweep's cost structure).
+/// Characterizes every registered workload, in registry order, on `h`'s
+/// thread count (the functional passes behind Figures 1–3 share one
+/// characterization sweep's cost structure).
 ///
 /// # Panics
 ///
 /// Panics if any workload's characterization panics, with the failing
 /// kernel named.
 #[must_use]
-pub fn characterize_all(scale: Scale) -> Vec<(&'static str, CharStats)> {
-    let workers = svf_harness::global().workers();
-    svf_harness::parallel_map(workers, svf_workloads::all(), |w| (w.name, characterize(w, scale)))
+pub fn characterize_all(h: &Harness, scale: Scale) -> Vec<(&'static str, CharStats)> {
+    let all = svf_workloads::all();
+    svf_harness::parallel_map(h.workers(), all, |w| (w.name, characterize(w, scale)))
         .into_iter()
-        .zip(svf_workloads::all())
+        .zip(all)
         .map(|(r, w)| r.unwrap_or_else(|e| panic!("characterize {}: {e}", w.name)))
         .collect()
 }

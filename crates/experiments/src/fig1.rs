@@ -6,17 +6,18 @@
 
 use crate::characterize::characterize_all;
 use crate::table::ExpTable;
+use svf_harness::Harness;
 use svf_workloads::{all, Scale};
 
 /// Runs the Figure 1 characterization over all workloads.
 #[must_use]
-pub fn run(scale: Scale) -> ExpTable {
+pub fn run(h: &Harness, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Figure 1: Run-time Memory Access Distribution",
         &["bench", "mem/inst", "stack", "stack-$sp", "stack-$fp", "stack-$gpr", "global", "heap"],
     );
     let mut sums = [0.0f64; 7];
-    for (name, st) in characterize_all(scale) {
+    for (name, st) in characterize_all(h, scale) {
         let total = st.mem_refs.max(1) as f64;
         let vals = [
             st.mem_frac(),
@@ -53,7 +54,7 @@ mod tests {
 
     #[test]
     fn stack_dominates_and_sp_is_main_method() {
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         let avg_stack = t.cell_f64("average", "stack").expect("average row");
         assert!(avg_stack > 50.0, "stack refs dominate on average: {avg_stack}%");
         let sp = t.cell_f64("average", "stack-$sp").expect("sp col");
@@ -67,7 +68,7 @@ mod tests {
         // Paper: "252.eon is the single exception: over 45% of its stack
         // accesses are performed using a $gpr" — ours is the most
         // gpr-inclined of the pointer-heavy kernels.
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         let eon_gpr = t.cell_f64("eon", "stack-$gpr").expect("eon row");
         for bench in ["gap", "mcf", "twolf", "vpr", "vortex"] {
             let other = t.cell_f64(bench, "stack-$gpr").expect("row");

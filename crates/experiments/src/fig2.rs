@@ -8,18 +8,19 @@
 
 use crate::characterize::characterize_all;
 use crate::table::ExpTable;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 const EPOCHS: usize = 10;
 
 /// Runs the Figure 2 depth tracking over all workloads.
 #[must_use]
-pub fn run(scale: Scale) -> ExpTable {
+pub fn run(h: &Harness, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Figure 2: Stack Depth Variation (depth in 64-bit units)",
         &["bench", "max", "mean", "epoch depths (10 slices of the run)"],
     );
-    for (name, st) in characterize_all(scale) {
+    for (name, st) in characterize_all(h, scale) {
         let samples = &st.depth_samples;
         if samples.is_empty() {
             t.row(vec![name.into(), "0".into(), "0".into(), String::new()]);
@@ -53,7 +54,7 @@ mod tests {
 
     #[test]
     fn most_workloads_fit_in_1000_units() {
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         let mut within = 0;
         let mut total = 0;
         for w in all() {
@@ -75,7 +76,7 @@ mod tests {
     #[test]
     fn depth_is_stable_after_startup() {
         // For the flat kernels, late-epoch depth equals earlier-epoch depth.
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         let spark = t.cell("gzip", "epoch depths (10 slices of the run)").expect("gzip");
         let vals: Vec<u64> = spark.split_whitespace().map(|v| v.parse().unwrap()).collect();
         assert_eq!(vals.len(), 10);

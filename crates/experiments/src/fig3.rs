@@ -7,6 +7,7 @@
 
 use crate::characterize::characterize_all;
 use crate::table::ExpTable;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 /// Byte thresholds reported in the CDF columns.
@@ -14,12 +15,12 @@ pub const THRESHOLDS: [u64; 6] = [64, 256, 1024, 2048, 4096, 8192];
 
 /// Runs the Figure 3 offset-locality analysis over all workloads.
 #[must_use]
-pub fn run(scale: Scale) -> ExpTable {
+pub fn run(h: &Harness, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Figure 3: Offset Locality — CDF of distance from TOS",
         &["bench", "<64B", "<256B", "<1KB", "<2KB", "<4KB", "<8KB", "avg dist (B)"],
     );
-    for (name, st) in characterize_all(scale) {
+    for (name, st) in characterize_all(h, scale) {
         let mut cells = vec![name.to_string()];
         for thr in THRESHOLDS {
             cells.push(format!("{:.1}%", 100.0 * st.frac_within(thr)));
@@ -39,7 +40,7 @@ mod tests {
 
     #[test]
     fn almost_all_refs_within_8kb() {
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         for w in all() {
             if w.name == "gcc" {
                 continue; // the paper's own exception
@@ -51,7 +52,7 @@ mod tests {
 
     #[test]
     fn gcc_has_the_largest_average_distance() {
-        let t = run(Scale::Test);
+        let t = run(&Harness::parallel(), Scale::Test);
         let gcc = t.cell_f64("gcc", "avg dist (B)").expect("gcc");
         for bench in ["bzip2", "gzip", "mcf", "vpr", "twolf"] {
             let other = t.cell_f64(bench, "avg dist (B)").expect("row");

@@ -5,21 +5,17 @@
 //! 16-wide machines with perfect branch prediction, and 25% for 16-wide
 //! with gshare (each relative to its own-width, own-predictor baseline).
 
-use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::matrix;
+use crate::runner::{matrix, speedup_table};
 use crate::table::ExpTable;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 /// Runs the Figure 5 limit study over all workloads.
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
-    let mut t = ExpTable::new(
-        "Figure 5: Ideal-SVF speedup (infinite size & ports, all stack refs morphed)",
-        &["bench", "4-wide", "8-wide", "16-wide", "16-wide gshare"],
-    );
-    // Base/ideal pairs flattened into one job matrix; column `2k` is the
-    // baseline of column `2k+1`.
+pub fn run_fig(h: &Harness, scale: Scale) -> ExpTable {
+    // Base/ideal pairs flattened into one job matrix; config `2k` is the
+    // baseline of config `2k+1`.
     let configs = [
         ("base 4-wide", machine("wide4")),
         ("ideal 4-wide", machine_with("wide4", "{stack_engine: ideal}")),
@@ -30,21 +26,11 @@ pub fn run_fig(scale: Scale) -> ExpTable {
         ("base 16-wide gshare", machine_with("wide16", "{predictor: gshare}")),
         ("ideal 16-wide gshare", machine_with("ideal", "{predictor: gshare}")),
     ];
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); configs.len() / 2];
-    for (bench, stats) in matrix("fig5", &configs, scale) {
-        let mut cells = vec![bench];
-        for (col, pair) in stats.chunks(2).enumerate() {
-            let sp = pair[1].speedup_over(&pair[0]);
-            per_col[col].push(sp);
-            cells.push(format!("{sp:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
+    let mut t = speedup_table(
+        "Figure 5: Ideal-SVF speedup (infinite size & ports, all stack refs morphed)",
+        &matrix(h, "fig5", &configs, scale),
+        &[("4-wide", 1, 0), ("8-wide", 3, 2), ("16-wide", 5, 4), ("16-wide gshare", 7, 6)],
+    );
     t.note("paper averages: 1.11x (4-wide), 1.19x (8-wide), 1.31x (16-wide), 1.25x (gshare)");
     t.note("each column is relative to the baseline of the same width and predictor");
     t
@@ -57,7 +43,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn speedup_grows_with_width() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let s4 = t.cell_f64("average", "4-wide").expect("avg");
         let s8 = t.cell_f64("average", "8-wide").expect("avg");
         let s16 = t.cell_f64("average", "16-wide").expect("avg");

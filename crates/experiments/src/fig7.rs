@@ -4,11 +4,11 @@
 //! `(4+0)` pays the paper's longer 4-cycle hit latency. Cells are speedups
 //! over the `(2+0)` baseline.
 
-use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::matrix;
+use crate::runner::{matrix, speedup_table};
 use crate::table::ExpTable;
 use svf_cpu::CpuConfig;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 /// The Figure 7 configurations, baseline first. The `(4+0)` machine states
@@ -27,30 +27,15 @@ pub fn configs() -> Vec<(&'static str, CpuConfig)> {
 
 /// Runs the Figure 7 comparison over all workloads.
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
+pub fn run_fig(h: &Harness, scale: Scale) -> ExpTable {
     let cfgs = configs();
-    let headers: Vec<&str> =
-        std::iter::once("bench").chain(cfgs.iter().skip(1).map(|(n, _)| *n)).collect();
-    let mut t = ExpTable::new(
+    let columns: Vec<(&str, usize, usize)> =
+        cfgs.iter().enumerate().skip(1).map(|(i, (n, _))| (*n, i, 0)).collect();
+    let mut t = speedup_table(
         "Figure 7: SVF vs stack cache vs baseline (speedup over 2+0)",
-        &headers,
+        &matrix(h, "fig7", &cfgs, scale),
+        &columns,
     );
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len() - 1];
-    for (bench, stats) in matrix("fig7", &cfgs, scale) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        for (col, stat) in stats.iter().skip(1).enumerate() {
-            let s = stat.speedup_over(base);
-            per_col[col].push(s);
-            cells.push(format!("{s:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
     t.note("paper: SVF (2+2) beats base (4+0) by ~4% and the stack cache by ~9% (14% no_squash)");
     t.note("paper: eon is the squash-dominated outlier, fixed by the no_squash code generator");
     t
@@ -63,7 +48,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn svf_beats_stack_cache_on_average() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let sc = t.cell_f64("average", "stack$ (2+2)").expect("avg");
         let svf = t.cell_f64("average", "SVF (2+2)").expect("avg");
         let nosq = t.cell_f64("average", "SVF no_squash (2+2)").expect("avg");
@@ -75,7 +60,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn four_port_baseline_helps_but_less_than_svf() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let four = t.cell_f64("average", "base (4+0)").expect("avg");
         let svf = t.cell_f64("average", "SVF (2+2)").expect("avg");
         assert!(svf > four * 0.99, "SVF (2+2) competitive with base (4+0): {svf} vs {four}");

@@ -8,18 +8,19 @@
 use crate::machine::machine;
 use crate::runner::matrix;
 use crate::table::ExpTable;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 /// Runs the Figure 8 breakdown (SVF `(2+2)` on the 16-wide machine).
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
+pub fn run_fig(h: &Harness, scale: Scale) -> ExpTable {
     let cfg = machine("svf");
     let mut t = ExpTable::new(
         "Figure 8: Breakdown of SVF Reference Types",
         &["bench", "fast loads", "fast stores", "re-routed", "out-of-window", "squashes"],
     );
     let (mut sum_morph, mut sum_total) = (0u64, 0u64);
-    for (bench, stats) in matrix("fig8", &[("SVF (2+2)", cfg)], scale) {
+    for (bench, stats) in matrix(h, "fig8", &[("SVF (2+2)", cfg)], scale) {
         let s = &stats[0];
         let morphed = s.svf_morphed_loads + s.svf_morphed_stores;
         let total = (morphed + s.svf_rerouted + s.svf_out_of_window).max(1);
@@ -49,7 +50,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn morphing_dominates() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         for w in all() {
             let fl = t.cell_f64(w.name, "fast loads").expect("row");
             let fs = t.cell_f64(w.name, "fast stores").expect("row");
@@ -65,7 +66,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn eon_has_the_most_squashes() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let eon: f64 = t.cell_f64("eon", "squashes").expect("eon");
         for bench in ["gzip", "mcf", "vpr"] {
             let other = t.cell_f64(bench, "squashes").expect("row");

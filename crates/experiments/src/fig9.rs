@@ -6,11 +6,11 @@
 //! the addition of a dual-ported SVF is worth +24% on average, with eon
 //! peaking at +84% (using no_squash).
 
-use crate::geomean;
 use crate::machine::machine_with;
-use crate::runner::matrix;
+use crate::runner::{matrix, speedup_table};
 use crate::table::ExpTable;
 use svf_cpu::CpuConfig;
+use svf_harness::Harness;
 use svf_workloads::Scale;
 
 fn svf_cfg(dl1_ports: usize, svf_ports: usize) -> CpuConfig {
@@ -20,12 +20,8 @@ fn svf_cfg(dl1_ports: usize, svf_ports: usize) -> CpuConfig {
 /// Runs the Figure 9 port sweep. Cells are speedups of `(R+S)` over the
 /// `(R+0)` baseline with the same number of D-cache ports.
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
-    let mut t = ExpTable::new(
-        "Figure 9: SVF speedup over same-R baseline",
-        &["bench", "(1+1)", "(1+2)", "(2+1)", "(2+2)", "(2+4)"],
-    );
-    // Columns 0/1 are the two baselines; each sweep column compares to the
+pub fn run_fig(h: &Harness, scale: Scale) -> ExpTable {
+    // Configs 0/1 are the two baselines; each sweep column compares to the
     // baseline with the same number of D-cache ports.
     let sweeps: [(usize, usize); 5] = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4)];
     let configs: Vec<(String, CpuConfig)> = std::iter::once((
@@ -37,22 +33,11 @@ pub fn run_fig(scale: Scale) -> ExpTable {
     .collect();
     let configs: Vec<(&str, CpuConfig)> =
         configs.iter().map(|(n, c)| (n.as_str(), c.clone())).collect();
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); sweeps.len()];
-    for (bench, stats) in matrix("fig9", &configs, scale) {
-        let mut cells = vec![bench];
-        for (col, (r, _)) in sweeps.iter().enumerate() {
-            let base = if *r == 1 { &stats[0] } else { &stats[1] };
-            let sp = stats[col + 2].speedup_over(base);
-            per_col[col].push(sp);
-            cells.push(format!("{sp:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
+    let mut t = speedup_table(
+        "Figure 9: SVF speedup over same-R baseline",
+        &matrix(h, "fig9", &configs, scale),
+        &[("(1+1)", 2, 0), ("(1+2)", 3, 0), ("(2+1)", 4, 1), ("(2+2)", 5, 1), ("(2+4)", 6, 1)],
+    );
     t.note("paper: (1+1) ≈ 1.50x, (1+2) ≈ 1.65x, (2+2) ≈ 1.24x average");
     t.note("single-ported designs gain most: the SVF drains the contended D-cache port");
     t
@@ -65,7 +50,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn single_ported_machines_gain_most() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let s11 = t.cell_f64("average", "(1+1)").expect("avg");
         let s22 = t.cell_f64("average", "(2+2)").expect("avg");
         assert!(s11 > 1.05, "(1+1) must show a real speedup: {s11}");
@@ -76,7 +61,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn more_svf_ports_never_hurt() {
-        let t = run_fig(Scale::Test);
+        let t = run_fig(&Harness::parallel(), Scale::Test);
         let s21 = t.cell_f64("average", "(2+1)").expect("avg");
         let s22 = t.cell_f64("average", "(2+2)").expect("avg");
         let s24 = t.cell_f64("average", "(2+4)").expect("avg");

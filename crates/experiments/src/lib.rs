@@ -18,15 +18,18 @@
 //! | [`ablations`] | capacity sweep, squash-penalty sensitivity, code quality |
 //! | [`partial_word`] | the x86 partial-word extension experiment |
 //!
-//! Every runner returns an [`ExpTable`] whose `Display` renders an aligned
-//! text table; the `svf-experiments` binary prints them, and integration
-//! tests assert the paper's qualitative shape on the same data.
+//! Every runner takes the [`Harness`](svf_harness::Harness) to run on and
+//! returns an [`ExpTable`] whose `Display` renders an aligned text table;
+//! the `svf-experiments` binary builds one harness from its flags, passes
+//! it to every runner and prints the tables, and integration tests assert
+//! the paper's qualitative shape on the same data.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use svf_experiments::{fig1, Scale};
-//! println!("{}", fig1::run(Scale::Test));
+//! use svf_harness::Harness;
+//! println!("{}", fig1::run(&Harness::parallel(), Scale::Test));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,20 +55,6 @@ pub mod traffic;
 pub use machine::{machine, machine_with};
 pub use svf_workloads::Scale;
 pub use table::ExpTable;
-
-/// Runs a design-space sweep on the process-global harness — the library
-/// seam behind `svf-experiments --sweep SPEC.toml`, so `--threads` and
-/// `--out` reach sweeps exactly the way they reach the figures.
-///
-/// # Errors
-///
-/// Propagates spec-geometry and job failures from
-/// [`svf_harness::run_sweep`].
-pub fn run_sweep_on_global(
-    spec: &svf_configspace::SweepSpec,
-) -> Result<svf_harness::SweepOutcome, String> {
-    svf_harness::run_sweep(spec, &svf_harness::global())
-}
 
 /// Geometric mean of a non-empty slice (used for "average speedup" rows,
 /// the conventional aggregation for ratios).

@@ -32,7 +32,8 @@
 //!                and lockstep batching.
 //! --sweep SPEC   run a design-space sweep from a TOML spec (grid, random,
 //!                or greedy Pareto search — see EXPERIMENTS.md); prints the
-//!                frontier and writes points.csv/pareto.csv
+//!                frontier and writes points.csv/pareto.csv. The spec's
+//!                `scale` key sets the scale; --scale is rejected
 //! --list-configs print the named config presets and their overlays
 //! ```
 
@@ -41,6 +42,7 @@ use std::time::Instant;
 use svf_experiments::{
     ablations, partial_word, fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, tables, traffic, Scale,
 };
+use svf_harness::Harness;
 
 /// Every experiment name `run_one` accepts, for usage and error messages.
 const EXPERIMENTS: &[&str] = &[
@@ -88,7 +90,7 @@ fn required_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
-    let mut scale = Scale::Small;
+    let mut scale: Option<Scale> = None;
     let mut csv_dir: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut out_dir: Option<String> = None;
@@ -105,12 +107,12 @@ fn main() {
             }
             "--sweep" => sweep_spec = Some(required_value(&mut it, "--sweep")),
             "--scale" => {
-                scale = match required_value(&mut it, "--scale").as_str() {
+                scale = Some(match required_value(&mut it, "--scale").as_str() {
                     "test" => Scale::Test,
                     "small" => Scale::Small,
                     "full" => Scale::Full,
                     other => fail(&format!("--scale must be test|small|full, got {other:?}")),
-                };
+                });
             }
             "--csv" => csv_dir = Some(required_value(&mut it, "--csv")),
             "--out" => out_dir = Some(required_value(&mut it, "--out")),
@@ -154,6 +156,8 @@ fn main() {
         }
     } else if which.is_some() {
         fail("--sweep takes a spec file, not an experiment name");
+    } else if scale.is_some() {
+        fail("--sweep takes its scale from the spec file's `scale` key, not --scale");
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -162,9 +166,9 @@ fn main() {
         }
     }
 
-    // Every figure/table driver routes its simulations through the global
-    // harness, so `--threads`/`--out` are installed exactly once, here.
-    let mut harness = svf_harness::Harness::parallel().with_progress(true);
+    // One harness for the whole invocation: every figure/table driver and
+    // the sweep run on it, so `--threads`/`--out` reach them all from here.
+    let mut harness = Harness::parallel().with_progress(true);
     if let Some(t) = threads {
         harness = harness.with_threads(t);
     }
@@ -180,29 +184,28 @@ fn main() {
     if let Some(spec) = sample {
         harness = harness.with_sample(spec);
     }
-    svf_harness::configure(harness);
 
     if let Some(spec_path) = sweep_spec {
-        run_sweep_file(&spec_path, csv_dir.as_deref());
+        run_sweep_file(&harness, &spec_path, csv_dir.as_deref());
         return;
     }
 
     let which = which.expect("checked above");
     let start = Instant::now();
-    run_one(&which, scale, csv_dir.as_deref());
+    run_one(&harness, &which, scale.unwrap_or(Scale::Small), csv_dir.as_deref());
     eprintln!("[{} completed in {:.1}s]", which, start.elapsed().as_secs_f64());
 }
 
-/// Loads a sweep spec, runs it on the global harness, prints the frontier,
-/// and writes `points.csv`/`pareto.csv` (to `--csv DIR`, default
+/// Loads a sweep spec, runs it on `h`, prints the frontier, and writes
+/// `points.csv`/`pareto.csv` (to `--csv DIR`, default
 /// `target/sweep/<name>`).
-fn run_sweep_file(spec_path: &str, csv_dir: Option<&str>) {
+fn run_sweep_file(h: &Harness, spec_path: &str, csv_dir: Option<&str>) {
     let text = std::fs::read_to_string(spec_path)
         .unwrap_or_else(|e| fail(&format!("cannot read {spec_path}: {e}")));
     let spec = svf_configspace::SweepSpec::from_toml(&text)
         .unwrap_or_else(|e| fail(&format!("{spec_path}: {e}")));
     let start = Instant::now();
-    let outcome = svf_experiments::run_sweep_on_global(&spec)
+    let outcome = svf_harness::run_sweep(&spec, h)
         .unwrap_or_else(|e| fail(&format!("sweep {}: {e}", spec.name)));
     let dir = csv_dir
         .map(std::path::PathBuf::from)
@@ -230,34 +233,34 @@ fn emit(table: &svf_experiments::ExpTable, id: &str, csv_dir: Option<&str>) {
     }
 }
 
-fn run_one(which: &str, scale: Scale, csv: Option<&str>) {
+fn run_one(h: &Harness, which: &str, scale: Scale, csv: Option<&str>) {
     match which {
-        "fig1" => emit(&fig1::run(scale), "fig1", csv),
-        "fig2" => emit(&fig2::run(scale), "fig2", csv),
-        "fig3" => emit(&fig3::run(scale), "fig3", csv),
-        "fig5" => emit(&fig5::run_fig(scale), "fig5", csv),
-        "fig6" => emit(&fig6::run_fig(scale), "fig6", csv),
-        "fig7" => emit(&fig7::run_fig(scale), "fig7", csv),
-        "fig8" => emit(&fig8::run_fig(scale), "fig8", csv),
-        "fig9" => emit(&fig9::run_fig(scale), "fig9", csv),
+        "fig1" => emit(&fig1::run(h, scale), "fig1", csv),
+        "fig2" => emit(&fig2::run(h, scale), "fig2", csv),
+        "fig3" => emit(&fig3::run(h, scale), "fig3", csv),
+        "fig5" => emit(&fig5::run_fig(h, scale), "fig5", csv),
+        "fig6" => emit(&fig6::run_fig(h, scale), "fig6", csv),
+        "fig7" => emit(&fig7::run_fig(h, scale), "fig7", csv),
+        "fig8" => emit(&fig8::run_fig(h, scale), "fig8", csv),
+        "fig9" => emit(&fig9::run_fig(h, scale), "fig9", csv),
         "table1" => emit(&tables::table1(), "table1", csv),
         "table2" => emit(&tables::table2(), "table2", csv),
         "table3" => {
-            for (i, t) in traffic::table3(scale).iter().enumerate() {
+            for (i, t) in traffic::table3(h, scale).iter().enumerate() {
                 emit(t, &format!("table3.{}kb", 2u32 << i), csv);
             }
         }
-        "table4" => emit(&traffic::table4(scale), "table4", csv),
-        "partial-word" => emit(&partial_word::run_experiment(scale), "partial-word", csv),
-        "ablation-size" => emit(&ablations::size_sweep(scale), "ablation-size", csv),
+        "table4" => emit(&traffic::table4(h, scale), "table4", csv),
+        "partial-word" => emit(&partial_word::run_experiment(h, scale), "partial-word", csv),
+        "ablation-size" => emit(&ablations::size_sweep(h, scale), "ablation-size", csv),
         "ablation-squash" => {
-            emit(&ablations::squash_sensitivity(scale), "ablation-squash", csv);
+            emit(&ablations::squash_sensitivity(h, scale), "ablation-squash", csv);
         }
-        "ablation-codegen" => emit(&ablations::code_quality(scale), "ablation-codegen", csv),
+        "ablation-codegen" => emit(&ablations::code_quality(h, scale), "ablation-codegen", csv),
         "ablations" => {
-            emit(&ablations::size_sweep(scale), "ablation-size", csv);
-            emit(&ablations::squash_sensitivity(scale), "ablation-squash", csv);
-            emit(&ablations::code_quality(scale), "ablation-codegen", csv);
+            emit(&ablations::size_sweep(h, scale), "ablation-size", csv);
+            emit(&ablations::squash_sensitivity(h, scale), "ablation-squash", csv);
+            emit(&ablations::code_quality(h, scale), "ablation-codegen", csv);
         }
         "all" => {
             for exp in [
@@ -265,7 +268,7 @@ fn run_one(which: &str, scale: Scale, csv: Option<&str>) {
                 "fig9", "table3", "table4",
             ] {
                 let t = Instant::now();
-                run_one(exp, scale, csv);
+                run_one(h, exp, scale, csv);
                 eprintln!("[{} done in {:.1}s]", exp, t.elapsed().as_secs_f64());
             }
         }

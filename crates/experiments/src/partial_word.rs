@@ -16,7 +16,7 @@
 use crate::machine::machine;
 use crate::table::ExpTable;
 use crate::traffic::traffic_run;
-use svf_harness::{Experiment, ProgramSpec};
+use svf_harness::{Experiment, Harness, ProgramSpec};
 use svf_workloads::Scale;
 
 /// A byte-heavy kernel: tokenization + byte histogram + string reversal in
@@ -86,7 +86,7 @@ fn iterations(scale: Scale) -> u64 {
 ///
 /// Panics if the embedded kernel fails to compile (covered by tests).
 #[must_use]
-pub fn run_experiment(scale: Scale) -> ExpTable {
+pub fn run_experiment(h: &Harness, scale: Scale) -> ExpTable {
     let source = byte_kernel_source(iterations(scale));
     let program = svf_cc::compile_to_program(&source).expect("compiles");
     let mut t = ExpTable::new(
@@ -97,7 +97,7 @@ pub fn run_experiment(scale: Scale) -> ExpTable {
     let mut exp = Experiment::new("partial-word");
     exp.push(spec.clone(), "base (2+0)", machine("base"));
     exp.push(spec, "SVF (2+2)", machine("svf"));
-    let report = svf_harness::global().run(&exp);
+    let report = h.run(&exp);
     let stats = report.stats();
     let (base, svf) = (stats[0].clone(), stats[1].clone());
     let svf_stats = svf.svf.expect("svf engine");
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn partial_word_stores_cause_read_merges() {
-        let t = run_experiment(Scale::Test);
+        let t = run_experiment(&Harness::parallel(), Scale::Test);
         let fills: f64 = t.cell_f64("read-merge fills (sub-quad stores)", "value").expect("row");
         assert!(fills > 0.0, "byte stores must trigger §3.3 read-merges");
         let speedup = t.cell_f64("SVF speedup over (2+0)", "value").expect("row");

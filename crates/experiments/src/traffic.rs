@@ -7,6 +7,7 @@
 
 use svf::{StackValueFile, SvfConfig};
 use svf_emu::Emulator;
+use svf_harness::Harness;
 use svf_isa::{Program, Reg};
 use svf_mem::{StackCache, StackCacheConfig};
 use svf_workloads::{all, Scale, Workload};
@@ -107,7 +108,7 @@ fn compile(w: &Workload, scale: Scale) -> Program {
 /// One row per (benchmark, input) pair, exactly as the paper lays it out
 /// (`bzip2.graphic`, `bzip2.program`, `eon.cook`, …).
 #[must_use]
-pub fn table3_for_size(scale: Scale, size_bytes: u64) -> ExpTable {
+pub fn table3_for_size(h: &Harness, scale: Scale, size_bytes: u64) -> ExpTable {
     let mut t = ExpTable::new(
         format!("Table 3 ({}KB): stack-structure memory traffic (quad-words)", size_bytes >> 10),
         &["bench.input", "stack$ in", "SVF in", "stack$ out", "SVF out"],
@@ -117,8 +118,7 @@ pub fn table3_for_size(scale: Scale, size_bytes: u64) -> ExpTable {
     // which worker finished first.
     let pairs: Vec<_> =
         all().iter().flat_map(|w| w.inputs.iter().map(move |&input| (w, input))).collect();
-    let workers = svf_harness::global().workers();
-    let rows = svf_harness::parallel_map(workers, &pairs, |(w, input)| {
+    let rows = svf_harness::parallel_map(h.workers(), &pairs, |(w, input)| {
         let program = w.compile_with_input(scale, *input).expect("workload compiles");
         traffic_run(&program, size_bytes, None).0
     });
@@ -139,27 +139,26 @@ pub fn table3_for_size(scale: Scale, size_bytes: u64) -> ExpTable {
 
 /// Table 3 at the paper's three sizes (2/4/8 KB).
 #[must_use]
-pub fn table3(scale: Scale) -> Vec<ExpTable> {
-    [2u64, 4, 8].iter().map(|kb| table3_for_size(scale, kb << 10)).collect()
+pub fn table3(h: &Harness, scale: Scale) -> Vec<ExpTable> {
+    [2u64, 4, 8].iter().map(|kb| table3_for_size(h, scale, kb << 10)).collect()
 }
 
 /// Table 4: average bytes written back per context switch (8 KB structures,
 /// 400 000-instruction switch period, as in the paper).
 #[must_use]
-pub fn table4(scale: Scale) -> ExpTable {
-    table4_with_period(scale, 400_000)
+pub fn table4(h: &Harness, scale: Scale) -> ExpTable {
+    table4_with_period(h, scale, 400_000)
 }
 
 /// Table 4 with a configurable switch period (tests use a shorter one so
 /// Test-scale runs still see several switches).
 #[must_use]
-pub fn table4_with_period(scale: Scale, period: u64) -> ExpTable {
+pub fn table4_with_period(h: &Harness, scale: Scale, period: u64) -> ExpTable {
     let mut t = ExpTable::new(
         format!("Table 4: bytes written back per context switch (period {period} insts)"),
         &["bench", "switches", "stack cache (B)", "SVF (B)", "ratio"],
     );
-    let workers = svf_harness::global().workers();
-    let switches = svf_harness::parallel_map(workers, all(), |w| {
+    let switches = svf_harness::parallel_map(h.workers(), all(), |w| {
         let program = compile(w, scale);
         traffic_run(&program, 8 << 10, Some(period)).1
     });

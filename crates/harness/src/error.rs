@@ -134,12 +134,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// One attempt, no watchdog — the exact pre-taxonomy behaviour.
-    #[must_use]
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { attempts: 1, backoff: Duration::ZERO, timeout: None }
-    }
-
     /// The sleep before retry attempt `attempt` (2-based: the sleep after
     /// the first failure precedes attempt 2). Exponential, shift-capped.
     #[must_use]
@@ -202,6 +196,5 @@ mod tests {
         assert_eq!(p.backoff_before(3), Duration::from_millis(20));
         assert_eq!(p.backoff_before(4), Duration::from_millis(40));
         assert_eq!(p.backoff_before(40), Duration::from_millis(10 * 256), "shift is capped");
-        assert_eq!(RetryPolicy::none().attempts, 1);
     }
 }

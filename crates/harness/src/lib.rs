@@ -106,7 +106,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -117,7 +117,7 @@ pub use error::{JobError, RetryPolicy};
 pub use experiment::Experiment;
 pub use job::{Job, JobOutcome, JobReport, ProgramSpec};
 pub use memo::compile_count;
-pub use pool::{parallel_map, parallel_map_with};
+pub use pool::parallel_map;
 use pool::ThreadBudget;
 use sink::RunDir;
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
@@ -695,22 +695,4 @@ impl RunReport {
             .map(|(jobs, stats)| (jobs[0].program_label.clone(), stats.to_vec()))
             .collect()
     }
-}
-
-static GLOBAL: OnceLock<Mutex<Harness>> = OnceLock::new();
-
-/// Installs the process-wide harness used by [`global`] (the experiment
-/// drivers route through it, so a CLI sets `--threads`/`--out` once here).
-pub fn configure(harness: Harness) {
-    *GLOBAL.get_or_init(|| Mutex::new(Harness::parallel())).lock().expect("global harness") =
-        harness;
-}
-
-/// The process-wide harness: whatever [`configure`] installed, or the
-/// default parallel, sink-less, quiet policy. Every clone it hands out
-/// shares that harness's session, so the drivers of one CLI invocation
-/// share one compile cache, quarantine and fault plan.
-#[must_use]
-pub fn global() -> Harness {
-    GLOBAL.get_or_init(|| Mutex::new(Harness::parallel())).lock().expect("global harness").clone()
 }

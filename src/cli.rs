@@ -23,8 +23,8 @@
 //!                                                      machine and its baseline advance as one
 //!                                                      lockstep pair over a shared functional
 //!                                                      stream on up to T threads (bit-identical
-//!                                                      to the serial runs; no effect on a
-//!                                                      single-machine run or trace replay)
+//!                                                      at any T; no effect on a single-machine
+//!                                                      run or trace replay)
 //!   --profile                                          print the Figures 1-3 characterization
 //!   --disasm                                           print the disassembly and exit
 //!   --compare                                          also run the (R+0) baseline and report speedup
@@ -36,7 +36,7 @@ use std::error::Error;
 use std::fmt::Write as _;
 
 use svf::SvfConfig;
-use svf_cpu::{CpuConfig, PredictorKind, SampleSpec, SimStats, Simulator, StackEngine};
+use svf_cpu::{CpuConfig, PredictorKind, SampleSpec, SimStats, StackEngine};
 use svf_emu::Emulator;
 use svf_isa::Program;
 use svf_mem::StackCacheConfig;
@@ -67,7 +67,7 @@ pub struct CliOptions {
     pub sample: Option<SampleSpec>,
     /// Timing thread budget (`--threads`): with `--compare`, the machine
     /// and its baseline ride one lockstep pair fanned out over up to this
-    /// many threads instead of two serial runs. Bit-identical either way.
+    /// many threads. Bit-identical at any count (1 is the serial run).
     pub threads: usize,
     /// Print the characterization profile.
     pub profile: bool,
@@ -333,115 +333,87 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
     }
 
     let cfg = build_config(&o)?;
-    if o.compare {
-        // The baseline is the same machine with the stack structure removed.
-        // For `--config`, that is an overlay appended to the spec (overlays
-        // are last-write-wins, so it composes with any user overlay).
-        let base_opts = CliOptions {
-            engine: "none".into(),
-            stack_ports: 0,
-            config: o.config.as_ref().map(|spec| {
-                let sep = if spec.contains('+') { ',' } else { '+' };
-                format!("{spec}{sep}stack_engine=none,stack_ports=0")
-            }),
-            ..o.clone()
-        };
-        let mut base_cfg = build_config(&base_opts)?;
-        base_cfg.stack_engine = StackEngine::None;
-        // The baseline rides the same execution mode, so a sampled compare
-        // reports a sampled-vs-sampled speedup (same schedule both sides).
-        let (stats, base) = if o.threads > 1 {
-            // With a thread budget the pair shares one functional stream
-            // and fans the two timing models out across threads; the
-            // report text is identical to the serial pair below.
-            run_timed_pair(&mut report, &o, &cfg, &base_cfg, &program)
-        } else {
-            let stats = run_timed(&mut report, &o, &cfg, &program);
-            append_timing_report(&mut report, &o, &stats);
-            let base = run_timed(&mut report, &o, &base_cfg, &program);
-            (stats, base)
-        };
-        let label = match &o.config {
-            Some(spec) => format!("{spec} - stack structure"),
-            None => format!("({}+0)", o.dl1_ports),
-        };
-        let _ = writeln!(
-            report,
-            "[baseline {label}] {} cycles, IPC {:.2} -> speedup {:.3}x",
-            base.cycles,
-            base.ipc(),
-            stats.speedup_over(&base)
-        );
-    } else {
-        let stats = run_timed(&mut report, &o, &cfg, &program);
-        append_timing_report(&mut report, &o, &stats);
+    if !o.compare {
+        run_timed(&mut report, &o, &[cfg], &program);
+        return Ok(report);
     }
+    // The baseline rides the same execution mode, so a sampled compare
+    // reports a sampled-vs-sampled speedup (same schedule both sides).
+    let runs = run_timed(&mut report, &o, &[cfg, base_config(&o)?], &program);
+    let (stats, base) = (&runs[0], &runs[1]);
+    let label = match &o.config {
+        Some(spec) => format!("{spec} - stack structure"),
+        None => format!("({}+0)", o.dl1_ports),
+    };
+    let _ = writeln!(
+        report,
+        "[baseline {label}] {} cycles, IPC {:.2} -> speedup {:.3}x",
+        base.cycles,
+        base.ipc(),
+        stats.speedup_over(base)
+    );
     Ok(report)
 }
 
-/// One timing run under the options' execution mode: a full detailed
-/// simulation, or — with `--sample` — a sampled one, with a greppable
-/// `SAMPLED` coverage line appended (the `scripts/check.sh` smoke gate
-/// parses it).
-fn run_timed(report: &mut String, o: &CliOptions, cfg: &CpuConfig, program: &Program) -> SimStats {
-    match &o.sample {
-        Some(spec) => {
-            let s = svf_cpu::run_sampled(std::slice::from_ref(cfg), program, o.max_insts, spec)
-                .pop()
-                .expect("one config in, one estimate out");
-            sampled_line(report, &s);
-            s.stats
-        }
-        None => Simulator::new(cfg.clone()).run(program, o.max_insts),
-    }
+/// The `--compare` baseline: the same machine with the stack structure
+/// removed. For `--config`, that is an overlay appended to the spec
+/// (overlays are last-write-wins, so it composes with any user overlay).
+fn base_config(o: &CliOptions) -> Result<CpuConfig, String> {
+    let base_opts = CliOptions {
+        engine: "none".into(),
+        stack_ports: 0,
+        config: o.config.as_ref().map(|spec| {
+            let sep = if spec.contains('+') { ',' } else { '+' };
+            format!("{spec}{sep}stack_engine=none,stack_ports=0")
+        }),
+        ..o.clone()
+    };
+    let mut base_cfg = build_config(&base_opts)?;
+    base_cfg.stack_engine = StackEngine::None;
+    Ok(base_cfg)
 }
 
-/// The `--compare` pair under a `--threads` budget: both machines ride one
-/// lockstep batch over a shared functional stream, fanned out across up to
-/// `o.threads` timing threads. Emits the same report lines, in the same
-/// order, as two serial [`run_timed`] calls — results are bit-identical.
-fn run_timed_pair(
+/// Times `configs` — the machine, then with `--compare` its baseline — as
+/// one lockstep batch over a shared functional stream, fanned out across up
+/// to `o.threads` timing threads (fan-out 1 is the serial run; results are
+/// bit-identical at any fan-out). With `--sample` the batch runs sampled
+/// and each run's greppable `SAMPLED` coverage line is reported (the
+/// `scripts/check.sh` smoke gate parses it). The machine's timing lines
+/// follow its own coverage line.
+fn run_timed(
     report: &mut String,
     o: &CliOptions,
-    cfg: &CpuConfig,
-    base_cfg: &CpuConfig,
+    configs: &[CpuConfig],
     program: &Program,
-) -> (SimStats, SimStats) {
-    let configs = [cfg.clone(), base_cfg.clone()];
-    match &o.sample {
-        Some(spec) => {
-            let mut runs =
-                svf_cpu::run_sampled_fanout(&configs, program, o.max_insts, spec, o.threads);
-            let base = runs.pop().expect("two configs in, two estimates out");
-            let main = runs.pop().expect("two configs in, two estimates out");
-            sampled_line(report, &main);
-            append_timing_report(report, o, &main.stats);
-            sampled_line(report, &base);
-            (main.stats, base.stats)
-        }
-        None => {
-            let mut runs =
-                svf_cpu::run_lockstep_fanout(&configs, program, o.max_insts, o.threads);
-            let base = runs.pop().expect("two configs in, two results out");
-            let main = runs.pop().expect("two configs in, two results out");
-            append_timing_report(report, o, &main);
-            (main, base)
+) -> Vec<SimStats> {
+    let runs: Vec<(String, SimStats)> = match &o.sample {
+        None => svf_cpu::run_lockstep_fanout(configs, program, o.max_insts, o.threads)
+            .into_iter()
+            .map(|s| (String::new(), s))
+            .collect(),
+        Some(spec) => svf_cpu::run_sampled_fanout(configs, program, o.max_insts, spec, o.threads)
+            .into_iter()
+            .map(|s| {
+                let line = format!(
+                    "--- SAMPLED intervals={} detailed={} fast-forwarded={} warmed={} of {} \
+                     insts ---\n",
+                    s.intervals,
+                    s.detailed_insts,
+                    s.fast_forwarded(),
+                    s.warmed_insts,
+                    s.total_insts
+                );
+                (line, s.stats)
+            })
+            .collect(),
+    };
+    for (i, (sampled, stats)) in runs.iter().enumerate() {
+        report.push_str(sampled);
+        if i == 0 {
+            append_timing_report(report, o, stats);
         }
     }
-}
-
-/// The greppable `SAMPLED` coverage line (the `scripts/check.sh` smoke
-/// gate parses it).
-fn sampled_line(report: &mut String, s: &svf_cpu::SampledStats) {
-    let _ = writeln!(
-        report,
-        "--- SAMPLED intervals={} detailed={} fast-forwarded={} warmed={} of {} insts ---",
-        s.intervals,
-        s.detailed_insts,
-        s.fast_forwarded(),
-        s.warmed_insts,
-        s.total_insts
-    );
+    runs.into_iter().map(|(_, stats)| stats).collect()
 }
 
 /// Replays a captured `.svft` binary trace (see `--dump-trace`) through
@@ -566,16 +538,32 @@ mod tests {
 
     #[test]
     fn threaded_compare_report_is_byte_identical_to_serial() {
-        let path = std::env::temp_dir().join("svf_cli_threads_pair.c");
-        std::fs::write(&path, "int main() { return 7; }").unwrap();
+        let path = std::env::temp_dir().join(format!("svf_cli_pair_{}.c", std::process::id()));
+        std::fs::write(
+            &path,
+            "int f(int n) { int b[4]; b[n & 3] = n; return b[n & 3]; }\n\
+             int main() { int s = 0; for (int i = 0; i < 50; i = i + 1) s = s + f(i); \
+             print(s); return 0; }",
+        )
+        .unwrap();
         let p = path.to_str().unwrap().to_string();
-        let serial = run_cli(&args(&[&p, "--compare"])).unwrap();
+        // Fan-out 1 is the serial run; fan-out 2 splits the pair across threads.
+        let serial = run_cli(&args(&[&p, "--compare", "--threads", "1"])).unwrap();
         let paired = run_cli(&args(&[&p, "--compare", "--threads", "2"])).unwrap();
         assert_eq!(serial, paired, "the fanned-out pair must reproduce the serial report");
-        let sampled = run_cli(&args(&[&p, "--compare", "--sample", ""])).unwrap();
+        let sampled = run_cli(&args(&[&p, "--compare", "--sample", "", "--threads", "1"])).unwrap();
         let sampled_mt =
             run_cli(&args(&[&p, "--compare", "--sample", "", "--threads", "2"])).unwrap();
         assert_eq!(sampled, sampled_mt, "sampled compare too");
+        // Independent reference: each machine simulated alone.
+        let o = parse_args(&args(&[&p])).unwrap();
+        let program = compile_input(&o, &std::fs::read_to_string(&path).unwrap()).unwrap();
+        let solo = |cfg: CpuConfig| svf_cpu::Simulator::new(cfg).run(&program, u64::MAX).cycles;
+        let machine = solo(build_config(&o).unwrap());
+        let base = solo(base_config(&o).unwrap());
+        assert_ne!(machine, base, "the program must tell the two machines apart");
+        assert!(serial.contains(&format!("(2+2)] {machine} cycles,")), "{serial}");
+        assert!(serial.contains(&format!("[baseline (2+0)] {base} cycles,")), "{serial}");
         let _ = std::fs::remove_file(&path);
     }
 
